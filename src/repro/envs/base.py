@@ -74,8 +74,12 @@ class Environment:
     _sport_counter: int = field(default=40_000, repr=False)
 
     def next_sport(self) -> int:
-        """A fresh client port, so replays never collide in flow tables."""
-        self._sport_counter += 1
+        """A fresh client port, so replays never collide in flow tables.
+
+        Counts up from 40,001 and wraps back there after 65,535, so a
+        long-lived environment never hands out an invalid port.
+        """
+        self._sport_counter = self._sport_counter + 1 if self._sport_counter < 65_535 else 40_001
         return self._sport_counter
 
     @property

@@ -21,11 +21,12 @@ reverse-engineered, through configuration:
 from __future__ import annotations
 
 import enum
+import heapq
 import time
 from collections import deque
 from typing import Callable
 
-from repro.middlebox.flowtable import FlowTable
+from repro.middlebox.flowtable import FlowTable, Handle
 from repro.middlebox.overload import LoadShedder, OverloadPolicy
 from repro.middlebox.policy import PolicyAction
 from repro.middlebox.ruleindex import CompiledRuleSet, CompiledView, StreamScan
@@ -34,7 +35,6 @@ from repro.middlebox.state import UNCLASSIFIED_FINAL, FlowState
 from repro.middlebox.validation import MiddleboxValidation
 from repro.netsim.element import NetworkElement, TransitContext
 from repro.netsim.shaper import PolicyState
-from repro.netsim.timerwheel import TimerWheel
 from repro.obs import coverage as obs_coverage
 from repro.obs import live as obs_live
 from repro.obs import metrics as obs_metrics
@@ -210,16 +210,16 @@ class DPIMiddlebox(NetworkElement):
         self._compiled = CompiledRuleSet.shared(self.rules)
         self._compiled_source: list[MatchRule] = self.rules
         self._now = 0.0  # last packet's clock time, for event timestamps
-        #: Sticky flag: True once any flow received an RST-shortened
-        #: timeout, so the per-packet expiry sweep can skip scanning when no
-        #: timeout source exists at all.
-        self._any_timeout_override = False
         #: Callable timeouts (GFC time-of-day flushing) can shrink between
-        #: packets, so fixed-deadline wheel scheduling would fire late; those
+        #: packets, so a precomputed deadline would fire late; those
         #: configurations keep the per-packet scan.  Constant timeouts (and
-        #: RST overrides, which are always constants) use the timer wheel.
+        #: RST overrides, which are always constants) use the deadline heap.
         self._scan_timeouts = callable(pre_match_timeout) or callable(post_match_timeout)
-        self._wheel: TimerWheel | None = None
+        #: Min-heap of (deadline, seq, flow handle).  Entries are never
+        #: cancelled: a popped entry whose flow is gone (stale handle) or
+        #: whose deadline a tighter one superseded is skipped.
+        self._timers: list[tuple[float, int, Handle]] = []
+        self._timer_seq = 0
         self._shedder = LoadShedder(overload) if overload is not None else None
         prefer_victim = None
         victim_scan_limit = 1
@@ -342,8 +342,7 @@ class DPIMiddlebox(NetworkElement):
 
     def reset(self) -> None:
         """Forget every flow, fragment buffer, block counter and log entry."""
-        self._any_timeout_override = False
-        self._wheel = None
+        self._timers = []
         if self.overload is not None:
             self._shedder = LoadShedder(self.overload)
         self._flows.clear()
@@ -480,15 +479,15 @@ class DPIMiddlebox(NetworkElement):
         return self._resolve_timeout(self.post_match_timeout, now)
 
     def _arm_timer(self, normalized: FiveTuple, state: FlowState, now: float) -> None:
-        """Schedule (or tighten) the flow's expiry timer on the wheel.
+        """Push (or tighten) the flow's expiry deadline onto the heap.
 
         Called when a timeout *source* changes — flow creation, a verdict,
         an RST override — never per packet: activity pushes the true
-        deadline later, and the pending timer handles that lazily by
-        re-checking the idle condition and rescheduling when it fires.
-        Only a deadline **earlier** than the pending one forces a
-        replacement (firing late would miss a flush the per-packet scan
-        would have caught).
+        deadline later, and the pending entry handles that lazily by
+        re-checking the idle condition and re-arming when it fires.
+        Only a deadline **earlier** than the pending one pushes a new
+        entry (firing late would miss a flush the per-packet scan would
+        have caught); the superseded entry is skipped when popped.
         """
         if self._scan_timeouts:
             return  # callable timeouts keep the exact per-packet scan
@@ -498,32 +497,22 @@ class DPIMiddlebox(NetworkElement):
         deadline = state.last_packet_time + timeout
         if state.timer_deadline is not None and deadline >= state.timer_deadline:
             return
-        wheel = self._wheel
-        if wheel is None:
-            wheel = self._wheel = TimerWheel()
-        if state.timer_id is not None:
-            wheel.cancel(state.timer_id)
         handle = self._flows.handle_of(normalized)
         if handle is None:
             return
-        state.timer_id = wheel.schedule(deadline, handle)
+        heapq.heappush(self._timers, (deadline, self._timer_seq, handle))
+        self._timer_seq += 1
         state.timer_deadline = deadline
 
     def _expire(self, now: float) -> None:
-        # Fast path: nothing can expire when no timeout is configured, no
-        # flow carries an RST-shortened override, and no endpoint is blocked
-        # — true for most environments, checked per packet.
-        if (
-            self.pre_match_timeout is None
-            and self.post_match_timeout is None
-            and not self._any_timeout_override
-            and not len(self._endpoint_block_until)
-        ):
-            return
+        # Fast path, checked per packet: no deadline due and no endpoint
+        # blocked — true for most packets in every environment.
         if self._scan_timeouts:
             self._expire_scan(now)
         else:
-            self._expire_wheel(now)
+            timers = self._timers
+            if timers and timers[0][0] <= now:
+                self._expire_heap(now)
         if len(self._endpoint_block_until):
             expired_endpoints = [
                 endpoint
@@ -545,27 +534,28 @@ class DPIMiddlebox(NetworkElement):
         for normalized in stale:
             self._forget_flow(normalized, reason="timeout")
 
-    def _expire_wheel(self, now: float) -> None:
-        """Batch expiry off the timer wheel: O(timers due), not O(flows).
+    def _expire_heap(self, now: float) -> None:
+        """Batch expiry off the deadline heap: O(timers due), not O(flows).
 
-        Due timers re-check the exact idle condition the scan used (the
-        flow may have been touched since the timer was armed) and
-        reschedule when not yet stale.  Stale flows flush in flow-table
-        insertion order, matching the scan's dict-iteration order.
+        Due entries re-check the exact idle condition the scan used (the
+        flow may have been touched since it was armed) and re-arm when not
+        yet stale.  Every due entry is popped before any re-arms, so a
+        re-armed deadline of exactly *now* waits for the next packet.
+        Stale flows flush in flow-table insertion order, matching the
+        scan's dict-iteration order.
         """
-        wheel = self._wheel
-        if wheel is None or not len(wheel):
-            return
-        due = wheel.advance(now)
-        if not due:
-            return
+        timers = self._timers
+        due: list[tuple[float, int, Handle]] = []
+        while timers and timers[0][0] <= now:
+            due.append(heapq.heappop(timers))
         stale: list[tuple[int, FiveTuple]] = []
-        for handle in due:
+        for deadline, _seq, handle in due:
             entry = self._flows.entry_by_handle(handle)
             if entry is None:
                 continue  # flow already flushed/evicted; stale handle
             normalized, state = entry
-            state.timer_id = None
+            if state.timer_deadline != deadline:
+                continue  # superseded by a tighter deadline
             state.timer_deadline = None
             timeout = self._timeout_for(state, now)
             if timeout is None:
@@ -587,10 +577,6 @@ class DPIMiddlebox(NetworkElement):
 
     def _flow_dropped(self, normalized: FiveTuple, state: FlowState, reason: str) -> None:
         """Shared teardown for flushed *and* table-evicted flows."""
-        if state.timer_id is not None and self._wheel is not None:
-            self._wheel.cancel(state.timer_id)
-            state.timer_id = None
-            state.timer_deadline = None
         self.policy_state.throttled_flows.pop(normalized, None)
         self.policy_state.zero_rated_flows.discard(normalized)
         if obs_trace.TRACER is not None:
@@ -614,7 +600,6 @@ class DPIMiddlebox(NetworkElement):
             self._forget_flow(key.normalized(), reason="rst-pre-match")
         elif self.rst_timeout_reduction is not None:
             state.timeout_override = self.rst_timeout_reduction
-            self._any_timeout_override = True
             self._arm_timer(key.normalized(), state, self._now)
             if obs_trace.TRACER is not None:
                 obs_trace.TRACER.emit(

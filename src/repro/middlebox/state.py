@@ -35,8 +35,8 @@ class FlowState:
             testbed shortens its timeout to 10 s after seeing a RST).
         client_scan / server_scan: incremental multi-pattern scan state over
             the corresponding buffer (stream reassembly modes only).
-        timer_id / timer_deadline: the flow's pending expiry timer on the
-            engine's timer wheel (lazy-rescheduled; None when no constant
+        timer_deadline: the deadline of the flow's live entry on the
+            engine's expiry heap (lazily re-armed; None when no constant
             timeout applies to the flow's current category).
     """
 
@@ -58,7 +58,6 @@ class FlowState:
     timeout_override: float | None = None
     client_scan: StreamScan | None = None
     server_scan: StreamScan | None = None
-    timer_id: int | None = None
     timer_deadline: float | None = None
 
     @property

@@ -28,7 +28,7 @@ Determinism contract (the differential and property suites pin all of it):
   advance still drains everything due *now* instead of treating it as
   overdue-next-tick.
 * Cancellation is O(log n) lazy: the heap entry is tombstoned and skipped
-  when popped, the same idiom the timer wheel uses.
+  when popped, the same idiom the engine's flow-expiry heap uses.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ fast paths honest.
 
 Like tracing, metrics are **disabled by default**: the module-level
 :data:`METRICS` is ``None`` and instrumented sites guard with a single
-``is not None`` check.  Enabled, every operation is one dict update — cheap
-enough to leave on for a whole experiment run.
+``is not None`` check.  Enabled, every operation is one dict update under
+a lock — cheap enough to leave on for a whole experiment run.
 
 The registry is deliberately flat (dotted metric names, scalar values) so a
 snapshot is a plain sorted dict: embeddable in reports, printable from the
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import threading
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -148,19 +149,25 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """A flat namespace of counters, gauges and histograms."""
+    """A flat namespace of counters, gauges and histograms.
+
+    Thread-pool workers share the parent's registry, so every
+    read-modify-write update holds the registry's lock.
+    """
 
     def __init__(self) -> None:
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # recording (called only behind an ``is not None`` guard)
     # ------------------------------------------------------------------
     def inc(self, name: str, amount: float = 1) -> None:
         """Increment counter *name* by *amount*."""
-        self._counters[name] = self._counters.get(name, 0) + amount
+        with self._lock:
+            self._counters[name] = self._counters.get(name, 0) + amount
 
     def set_gauge(self, name: str, value: float) -> None:
         """Set gauge *name* to *value* (last write wins)."""
@@ -168,10 +175,11 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float, bounds: tuple[float, ...] = DEFAULT_BUCKETS) -> None:
         """Record *value* into histogram *name* (created on first use)."""
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = Histogram(bounds)
-        histogram.observe(value)
+        with self._lock:
+            histogram = self._histograms.get(name)
+            if histogram is None:
+                histogram = self._histograms[name] = Histogram(bounds)
+            histogram.observe(value)
 
     # ------------------------------------------------------------------
     # readout
@@ -270,17 +278,18 @@ class MetricsRegistry:
         task order, keys sorted within each — so the merged registry is
         deterministic and, for a clean run, identical to a serial run's.
         """
-        for name, value in sorted(dump.get("counters", {}).items()):
-            self._counters[name] = self._counters.get(name, 0) + value
-        for name, value in sorted(dump.get("gauges", {}).items()):
-            self._gauges[name] = value
-        for name, payload in sorted(dump.get("histograms", {}).items()):
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = Histogram(tuple(payload["bounds"]))
-            histogram.merge_counts(
-                payload["counts"], payload["total"], payload["count"]
-            )
+        with self._lock:
+            for name, value in sorted(dump.get("counters", {}).items()):
+                self._counters[name] = self._counters.get(name, 0) + value
+            for name, value in sorted(dump.get("gauges", {}).items()):
+                self._gauges[name] = value
+            for name, payload in sorted(dump.get("histograms", {}).items()):
+                histogram = self._histograms.get(name)
+                if histogram is None:
+                    histogram = self._histograms[name] = Histogram(tuple(payload["bounds"]))
+                histogram.merge_counts(
+                    payload["counts"], payload["total"], payload["count"]
+                )
 
 
 # ----------------------------------------------------------------------

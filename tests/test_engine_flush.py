@@ -1,5 +1,7 @@
 """Engine state retention: timeouts, RST flushing, endpoint blocking."""
 
+import sys
+
 from repro.middlebox.engine import DPIMiddlebox, ReassemblyMode
 from repro.middlebox.policy import RulePolicy
 from repro.middlebox.rules import MatchRule
@@ -65,6 +67,42 @@ class TestTimeouts:
         driver.data(GET)
         assert driver.classification() is None
         assert calls
+
+
+class TestExpiryCost:
+    """Expiry work follows the timers due, not the virtual time elapsed."""
+
+    @staticmethod
+    def python_calls(fn):
+        """Python function calls made while running *fn*."""
+        count = 0
+
+        def profiler(_frame, event, _arg):
+            nonlocal count
+            if event == "call":
+                count += 1
+
+        sys.setprofile(profiler)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
+        return count
+
+    def test_jump_cost_does_not_grow_with_elapsed_time(self):
+        # Timeouts far beyond both gaps: nothing is due after either jump,
+        # so a packet after 10^4 s must cost what one after 10 s does.
+        engine, _ = make_engine(pre_match_timeout=1e5, post_match_timeout=2e5)
+        for sport in range(40_200, 40_204):
+            Driver(engine, sport=sport).syn()
+        driver = Driver(engine)
+        driver.syn()
+        driver.clock.advance(10.0)
+        short = self.python_calls(lambda: driver.data(b""))
+        driver.clock.advance(1e4)
+        long = self.python_calls(lambda: driver.data(b""))
+        assert len(engine._flows) == 5
+        assert abs(long - short) <= 10, (short, long)
 
 
 class TestRSTHandling:

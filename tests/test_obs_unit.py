@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+import threading
 
 import pytest
 
@@ -255,6 +257,31 @@ class TestMetricsRegistry:
         assert "pkts" in rendered and "count=1" in rendered
         registry.reset()
         assert registry.snapshot() == {}
+
+    def test_concurrent_updates_are_not_lost(self):
+        # Thread-pool workers share one registry; a forced switch interval
+        # makes an unlocked read-modify-write lose most of these updates.
+        registry = obs_metrics.MetricsRegistry()
+        threads, per_thread = 4, 200_000
+
+        def hammer():
+            for _ in range(per_thread):
+                registry.inc("hits")
+                registry.observe("lat", 3)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hammer) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert registry.counter("hits") == threads * per_thread
+        assert registry.snapshot()["lat"]["count"] == threads * per_thread
 
     def test_collecting_context_restores_previous(self):
         assert obs_metrics.METRICS is None

@@ -11,7 +11,8 @@ from repro.endpoint.rawclient import (
 from repro.netsim.clock import VirtualClock
 from repro.netsim.hop import RouterHop
 from repro.netsim.path import Path
-from repro.packets.tcp import TCPFlags
+from repro.packets.ip import IPPacket
+from repro.packets.tcp import TCPFlags, TCPSegment
 
 from tests.conftest import CLIENT, SERVER, make_direct_link
 
@@ -139,6 +140,71 @@ class TestRawTCPClient:
         client.connect()
         client.send_payload(b"echo-me")
         assert client.server_stream() == b"echo-me"
+
+
+class ScriptedPath:
+    """Records what the client sends; acknowledges on a scripted trigger.
+
+    ``ack_on`` maps a sequence number to the cumulative ACK the server
+    sends back the first time a segment starting there is transmitted.
+    """
+
+    def __init__(self):
+        self.clock = VirtualClock()
+        self.client_endpoint = None
+        self.sent = []
+        self.ack_on = {}
+
+    def send_from_client(self, packet):
+        self.sent.append(packet)
+        ack = self.ack_on.pop(packet.tcp.seq, None)
+        if ack is not None:
+            segment = TCPSegment(sport=80, dport=40_000, seq=1, ack=ack, flags=TCPFlags.ACK)
+            self.client_endpoint.receive(IPPacket(src=SERVER, dst=CLIENT, transport=segment))
+
+
+class TestFlushUnacked:
+    """Reliable-mode retransmission: per-round order and the retry budget."""
+
+    SEGMENTS = (b"aaaa", b"bbbbbb", b"cc")  # seqs 7000, 7004, 7010; end 7012
+
+    def make(self, ack_on=None, max_retries=3):
+        path = ScriptedPath()
+        client = RawTCPClient(path, CLIENT, SERVER, reliable=True, max_retries=max_retries)
+        for payload in self.SEGMENTS:
+            client.send_plan(SegmentPlan(payload=payload))
+        path.sent.clear()
+        path.ack_on = dict(ack_on or {})
+        return path, client
+
+    @staticmethod
+    def resent(path):
+        return [(p.tcp.seq, p.tcp.payload) for p in path.sent]
+
+    def test_rounds_resend_unacked_in_tracked_order_until_budget(self):
+        # The first retransmission of seq 7000 is acknowledged; the other two
+        # never are, so they repeat every round until max_retries runs out.
+        path, client = self.make(ack_on={7000: 7004}, max_retries=3)
+        assert client.flush_unacked() == 7
+        assert self.resent(path) == [
+            (7000, b"aaaa"), (7004, b"bbbbbb"), (7010, b"cc"),
+            (7004, b"bbbbbb"), (7010, b"cc"),
+            (7004, b"bbbbbb"), (7010, b"cc"),
+        ]
+        assert client.retransmissions == 7
+        assert all(p.tcp.flags == TCPFlags.ACK | TCPFlags.PSH for p in path.sent)
+
+    def test_stops_once_everything_is_acknowledged(self):
+        path, client = self.make(ack_on={7010: 7012}, max_retries=4)
+        assert client.flush_unacked() == 3
+        assert self.resent(path) == [(7000, b"aaaa"), (7004, b"bbbbbb"), (7010, b"cc")]
+
+    def test_zero_budget_and_unreliable_send_nothing(self):
+        path, client = self.make(max_retries=0)
+        assert client.flush_unacked() == 0
+        client.reliable = False
+        assert client.flush_unacked() == 0
+        assert path.sent == []
 
 
 class TestRawUDPClient:

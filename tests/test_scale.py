@@ -14,6 +14,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.scale import (
     MATCH_PAYLOAD,
@@ -238,55 +240,106 @@ class TestChurnUnderFaults:
         assert runs["process"] == runs["serial"]
 
 
-class TestWheelMatchesScan:
-    """Timer-wheel expiry is a drop-in for the per-packet timeout scan.
+#: Constant flush timeouts (heap expiry) and the RST-shortened one.
+PRE_TIMEOUT, POST_TIMEOUT, RST_TIMEOUT = 30.0, 60.0, 10.0
 
-    Constant timeouts route expiry through the wheel; wrapping the same
-    constants in callables forces the legacy per-packet scan.  Driving an
-    identical churn (with idle gaps that batch-expire) through both must
-    leave identical flow sets and counters.
+#: Gaps that land exactly on, just short of and just past each timeout, a
+#: zero-length gap, and jumps up to 10^6 s.
+GAPS = st.one_of(
+    st.sampled_from(
+        [0.0, 0.0005, RST_TIMEOUT, PRE_TIMEOUT - 1e-9, PRE_TIMEOUT, PRE_TIMEOUT + 1e-9,
+         45.0, POST_TIMEOUT, 61.0, 3_600.0, 1e6]
+    ),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
+)
+
+#: ("open", n) starts n flows; ("gap", s) idles the clock s seconds;
+#: ("touch", k) / ("rst", k) send a payload / a RST on the k-th flow opened.
+CHURN_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("open"), st.integers(1, 12)),
+        st.tuples(st.just("gap"), GAPS),
+        st.tuples(st.just("touch"), st.integers(0, 1_000)),
+        st.tuples(st.just("rst"), st.integers(0, 1_000)),
+    ),
+    max_size=40,
+)
+
+
+class TestHeapMatchesScan:
+    """Heap expiry is a drop-in for the per-packet timeout scan.
+
+    Constant timeouts expire flows off the engine's deadline heap; wrapping
+    the same constants in callables forces the per-packet scan.  Driving an
+    identical random churn through both must flush the same flows, in the
+    same order, at the same packets, and leave the same counters.
     """
 
-    def churn(self, engine, flows=900, idle_every=300):
-        config = ScaleConfig(flows=flows, max_flows=128)
+    @staticmethod
+    def engine(pre, post):
+        engine, _ = build_engine(
+            ScaleConfig(max_flows=8, pre_match_timeout=pre, post_match_timeout=post)
+        )
+        engine.rst_timeout_reduction = RST_TIMEOUT
+        return engine
+
+    @staticmethod
+    def churn(engine, steps):
         clock = VirtualClock()
         sink = []
         ctx = TransitContext(clock=clock, inject_back=sink.append, inject_forward=sink.append)
-        for index in range(flows):
+        flushed = []
+        dropped = engine._flow_dropped
+
+        def record(normalized, state, reason):
+            flushed.append((clock.now, str(normalized), reason))
+            dropped(normalized, state, reason)
+
+        engine._flow_dropped = record
+
+        def send(index, flags, body):
             src, sport = _flow_endpoint(index)
-            payload = (
-                MATCH_PAYLOAD if _is_match_flow(index, config.match_every) else NEUTRAL_PAYLOAD
+            segment = TCPSegment(
+                sport=sport, dport=SERVER_PORT, seq=1_001, ack=1, flags=flags, payload=body
             )
-            for seq, flags, body in (
-                (1_000, TCPFlags.SYN, b""),
-                (1_001, TCPFlags.ACK | TCPFlags.PSH, payload),
-            ):
-                clock.advance(config.packet_interval)
-                segment = TCPSegment(
-                    sport=sport, dport=SERVER_PORT, seq=seq, ack=1, flags=flags, payload=body
-                )
-                engine.process(
-                    IPPacket(src=src, dst=SERVER, transport=segment),
-                    Direction.CLIENT_TO_SERVER,
-                    ctx,
-                )
-                sink.clear()
-            if (index + 1) % idle_every == 0:
-                clock.advance(45.0)  # past pre-match, short of post-match timeout
+            engine.process(
+                IPPacket(src=src, dst=SERVER, transport=segment), Direction.CLIENT_TO_SERVER, ctx
+            )
+            sink.clear()
+
+        def payload(index):
+            return MATCH_PAYLOAD if _is_match_flow(index, 3) else NEUTRAL_PAYLOAD
+
+        opened = 0
+        for kind, arg in steps:
+            if kind == "open":
+                for index in range(opened, opened + arg):
+                    send(index, TCPFlags.SYN, b"")
+                    send(index, TCPFlags.ACK | TCPFlags.PSH, payload(index))
+                opened += arg
+            elif kind == "gap":
+                clock.advance(arg)
+            elif opened:
+                index = arg % opened
+                if kind == "touch":
+                    send(index, TCPFlags.ACK | TCPFlags.PSH, payload(index))
+                else:
+                    send(index, TCPFlags.RST, b"")
         return {
-            "tracked": sorted(map(str, engine._flows.keys())),
+            "flushed": flushed,
+            "tracked": list(map(str, engine._flows.keys())),
             "evictions": engine.evictions,
-            "matches": len(engine.match_log),
+            "matches": engine.matches_logged,
         }
 
-    def test_wheel_and_scan_agree_under_churn(self):
-        wheel_engine, _ = build_engine(ScaleConfig(max_flows=128, pre_match_timeout=30.0))
-        assert not wheel_engine._scan_timeouts
-        scan_engine, _ = build_engine(ScaleConfig(max_flows=128))
-        scan_engine.pre_match_timeout = lambda now: 30.0
-        scan_engine.post_match_timeout = lambda now: 60.0
-        scan_engine._scan_timeouts = True
-        assert self.churn(wheel_engine) == self.churn(scan_engine)
+    @settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+    @given(CHURN_STEPS)
+    def test_heap_and_scan_agree_under_churn(self, steps):
+        heap_engine = self.engine(PRE_TIMEOUT, POST_TIMEOUT)
+        assert not heap_engine._scan_timeouts
+        scan_engine = self.engine(lambda now: PRE_TIMEOUT, lambda now: POST_TIMEOUT)
+        assert scan_engine._scan_timeouts
+        assert self.churn(heap_engine, steps) == self.churn(scan_engine, steps)
 
 
 @pytest.mark.slow
@@ -295,7 +348,7 @@ class TestMemoryFlatness:
 
     Each configuration runs in its own interpreter because ``ru_maxrss``
     is process-lifetime-monotonic.  The baseline sits at 100k flows — the
-    structures (slab, wheel, caches) are fully warm there; below that the
+    structures (slab, expiry heap, caches) are fully warm there; below that the
     allocator is still filling its arenas and ratios mean nothing.
     """
 

@@ -3,12 +3,10 @@
 The scheduler's contract is "fire exactly what a brute-force scan over
 pending events would, in (deadline, seq) order, never moving the clock
 backwards".  The property tests drive random schedule/cancel/advance
-sequences through the scheduler and a sorted-list reference (the same
-pattern as ``tests/test_timerwheel.py``); the edge tests pin the
-zero-delay guarantee — a zero-delay event fires in the drain already in
-progress, and ``advance(0)`` drains everything due *now* instead of
-parking it for the next tick (the regression the timer wheel is also held
-to below).
+sequences through the scheduler and a sorted-list reference; the edge
+tests pin the zero-delay guarantee — a zero-delay event fires in the
+drain already in progress, and ``advance(0)`` drains everything due *now*
+instead of parking it for the next tick.
 """
 
 import pytest
@@ -17,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.netsim.clock import VirtualClock
 from repro.netsim.scheduler import EventScheduler, event_core_enabled, use_event_core
-from repro.netsim.timerwheel import TimerWheel
 
 settings_kwargs = dict(
     deadline=None, max_examples=60, suppress_health_check=[HealthCheck.too_slow]
@@ -145,21 +142,6 @@ class TestZeroDelay:
         scheduler.post(fired.append, "b")
         scheduler.advance(0)
         assert fired == ["a", "b"]  # FIFO at the same deadline
-
-    def test_timerwheel_zero_delay_timer_fires_in_the_same_drain(self):
-        # Regression: a timer armed exactly at the wheel's current time must
-        # fire on a zero advance, not wait overdue for the next tick.
-        wheel = TimerWheel(tick=0.5, slots=4, levels=1, start=10.0)
-        wheel.schedule(10.0, "due-now")
-        assert wheel.advance(10.0) == ["due-now"]
-
-    def test_timerwheel_zero_advance_after_schedule_mixed_deadlines(self):
-        wheel = TimerWheel(tick=0.5, slots=4, levels=1, start=3.0)
-        wheel.schedule(3.0, "now")
-        wheel.schedule(3.5, "later")
-        assert wheel.advance(3.0) == ["now"]
-        assert wheel.pending == 1
-        assert wheel.advance(3.5) == ["later"]
 
     def test_virtualclock_accepts_zero_advance(self):
         clock = VirtualClock(start=2.0)

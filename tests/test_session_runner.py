@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.evasion.base import EvasionContext
 from repro.endpoint.rawclient import SegmentPlan
+from repro.envs import make_testbed
 from repro.replay.runner import make_inert_payload
 from repro.replay.session import ReplaySession
 from repro.traffic.http import http_get_trace
@@ -36,6 +37,19 @@ class TestOutcomeFields:
         s1.run()
         s2.run()
         assert s1.sport != s2.sport
+
+    def test_client_ports_wrap_within_the_valid_range(self, testbed, classified_trace):
+        # A long-lived environment (live serve) outlasts 25,535 replays; the
+        # port counter wraps instead of handing out port 65,536.
+        expected = ReplaySession(make_testbed(), classified_trace).run()
+        assert expected.differentiated
+        testbed._sport_counter = 65_533
+        sessions = [ReplaySession(testbed, classified_trace) for _ in range(4)]
+        outcomes = [session.run() for session in sessions]
+        assert [s.sport for s in sessions] == [65_534, 65_535, 40_001, 40_002]
+        for outcome in outcomes:
+            assert outcome.differentiated == expected.differentiated
+            assert outcome.classification == expected.classification
 
     def test_server_port_override(self, testbed, neutral_trace):
         session = ReplaySession(testbed, neutral_trace, server_port=9999)
