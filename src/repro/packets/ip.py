@@ -409,37 +409,3 @@ _FIELD_NAMES = frozenset(f.name for f in fields(IPPacket))
 #: Fields that participate in flow identity (see FiveTuple.of's packet memo).
 _FLOW_FIELDS = frozenset({"src", "dst", "transport", "protocol"})
 
-
-def fast_packet(src: str, dst: str, transport: Transport, ttl: int = 64) -> IPPacket:
-    """Build a pristine IPv4 packet without ``__init__``/validation overhead.
-
-    For hot paths that wrap already-validated transports (endpoint stacks
-    emitting ACKs and data): one dict display instead of the dataclass
-    constructor's per-field ``__setattr__`` walk.  Every header field takes
-    its auto-computed default; callers needing overrides use the
-    constructor or copy().
-    """
-    packet = object.__new__(IPPacket)
-    object.__setattr__(packet, "__dict__", {
-        "src": src,
-        "dst": dst,
-        "transport": transport,
-        "ttl": ttl,
-        "version": 4,
-        "ihl": None,
-        "tos": 0,
-        "total_length": None,
-        "identification": 0,
-        "df": False,
-        "mf": False,
-        "frag_offset": 0,
-        "protocol": None,
-        "checksum": None,
-        "options": b"",
-    })
-    return packet
-
-
-# fast_packet's dict display must cover exactly the dataclass fields;
-# this trips at import time if a field is ever added or renamed.
-assert set(fast_packet("0.0.0.0", "0.0.0.0", b"").__dict__) == _FIELD_NAMES

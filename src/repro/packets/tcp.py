@@ -87,14 +87,17 @@ class TCPSegment:
     checksum: int | None = None
 
     def __post_init__(self) -> None:
-        if type(self.flags) is not TCPFlags:
-            self.flags = TCPFlags(self.flags)
+        # Runs inside the constructor, before anything can be cached, so the
+        # coercions write the instance dict directly (no invalidation hook).
+        d = self.__dict__
+        if type(d["flags"]) is not TCPFlags:
+            d["flags"] = TCPFlags(d["flags"])
         for name in ("sport", "dport"):
-            value = getattr(self, name)
+            value = d[name]
             if not 0 <= value <= 0xFFFF:
                 raise ValueError(f"{name} out of range: {value}")
-        self.seq &= 0xFFFFFFFF
-        self.ack &= 0xFFFFFFFF
+        d["seq"] &= 0xFFFFFFFF
+        d["ack"] &= 0xFFFFFFFF
 
     @property
     def padded_options(self) -> bytes:
@@ -270,39 +273,3 @@ install_wire_cache(TCPSegment, ("_wire0_cache", "_wire_cache", "_csum_cache"))
 
 _FIELD_NAMES = frozenset(f.name for f in fields(TCPSegment))
 
-
-def fast_segment(
-    sport: int,
-    dport: int,
-    seq: int,
-    ack: int,
-    flags: TCPFlags = TCPFlags.ACK,
-    payload: bytes = b"",
-) -> TCPSegment:
-    """Build a plain segment without ``__init__``/validation overhead.
-
-    For hot paths that construct segments from already-validated values
-    (established connections): one dict display instead of the dataclass
-    constructor's per-field ``__setattr__`` walk.  Every other field takes
-    its default; callers needing overrides use the constructor or copy().
-    """
-    segment = object.__new__(TCPSegment)
-    object.__setattr__(segment, "__dict__", {
-        "sport": sport,
-        "dport": dport,
-        "seq": seq,
-        "ack": ack,
-        "flags": flags,
-        "window": 65535,
-        "urgent": 0,
-        "options": b"",
-        "payload": payload,
-        "data_offset": None,
-        "checksum": None,
-    })
-    return segment
-
-
-# fast_segment's dict display must cover exactly the dataclass fields;
-# this trips at import time if a field is ever added or renamed.
-assert set(fast_segment(0, 0, 0, 0).__dict__) == _FIELD_NAMES
