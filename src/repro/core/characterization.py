@@ -17,6 +17,7 @@ Two instruments:
 from __future__ import annotations
 
 import random
+import struct
 
 from repro.core.report import CharacterizationReport, MatchingField
 from repro.envs.base import Environment
@@ -266,7 +267,19 @@ class Characterizer:
         return outcome.differentiated
 
     def _random_payload(self, size: int) -> bytes:
-        return bytes(self._rng.randrange(256) for _ in range(size))
+        """``bytes(rng.randrange(256) for _ in range(size))``, batched.
+
+        ``randrange(256)`` draws one 32-bit word per try, rejects words with
+        the top bit set and keeps ``word >> 23``.  Drawing only as many words
+        as bytes are still missing never draws past the last accepted word,
+        so the output and the generator state match the per-byte loop.
+        """
+        out = bytearray()
+        while len(out) < size:
+            need = size - len(out)
+            words = self._rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+            out.extend(w >> 23 for w in struct.unpack(f"<{need}I", words) if w < 0x8000_0000)
+        return bytes(out)
 
     def _blind_bytes(self, data: bytes) -> bytes:
         """Destroy *data* per the active blinding mode.

@@ -278,17 +278,6 @@ class StreamScan:
         """The accumulated hits as a set of pattern ids."""
         return mask_to_ids(self.mask)
 
-    def feed(self, scanner, buffer: Buffer) -> set[int]:
-        """Scan bytes appended since the last feed; return all patterns seen.
-
-        The historical set-returning call shape: *scanner* may be a
-        :class:`PatternAutomaton` or anything carrying one under an
-        ``automaton`` attribute (``ruleindex.MultiPatternScanner``).  Hot
-        paths use :meth:`feed_mask` directly.
-        """
-        automaton = getattr(scanner, "automaton", scanner)
-        return mask_to_ids(self.feed_mask(automaton, buffer))
-
     def feed_mask(self, automaton: PatternAutomaton, buffer: Buffer) -> int:
         """Feed bytes appended since the last call; return the full hit mask."""
         end = len(buffer)

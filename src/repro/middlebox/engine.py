@@ -68,7 +68,8 @@ def _verdict_name(verdict: MatchRule | str | None) -> str | None:
 
 
 def _flow_cost(state: FlowState) -> int:
-    """Approximate heap bytes pinned by one flow's scan state."""
+    """Approximate heap bytes pinned by one flow's scan state (a server
+    buffer only fills when some rule reads the server stream)."""
     cost = 256 + len(state.client_buffer) + len(state.server_buffer)
     if state.ooo_segments:
         cost += sum(len(chunk) for chunk in state.ooo_segments.values())
@@ -649,6 +650,10 @@ class DPIMiddlebox(NetworkElement):
         if not self.validation.ip_inspectable(packet):
             return
         direction = state.direction_of(packet.src, self._sport_of(packet))
+        if direction == "server" and not self._view(
+            state.protocol, state.server_port, direction
+        ).rules:
+            return  # no rule reads this server stream: neither count nor buffer it
         payload = b""
         if self._transport_protocol(packet) == 6 and packet.tcp is not None:
             payload = self._tcp_payload_for_matching(state, packet, packet.tcp, direction)

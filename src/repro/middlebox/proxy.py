@@ -45,7 +45,9 @@ class _ProxiedConnection:
     closed: bool = False
     # Scan watermarks: keywords already found, and how far each buffer has
     # been searched, so classification never rescans bytes it has seen
-    # (matches stay monotonic — buffers only grow).
+    # (matches stay monotonic).  A buffer stops growing once its side
+    # matches, and the server buffer keeps only the tail a keyword can
+    # still reach back into.
     client_found: set[bytes] = field(default_factory=set)
     server_found: set[bytes] = field(default_factory=set)
     client_scan_pos: int = 0
@@ -74,6 +76,9 @@ class TransparentHTTPProxy(NetworkElement):
             keywords wholly inside the trimmed region are missed (degraded,
             counted in ``mbx.shed.scan_trimmed_bytes``) but memory per
             connection stays bounded.  None (the default) never trims.
+            The server buffer is held to its last ``longest keyword - 1``
+            bytes regardless: that exact trim loses no match and is not
+            counted as shedding, so only a cap below it degrades.
         fragment_capacity: bound on concurrently-reassembling fragment
             groups.
     """
@@ -99,6 +104,9 @@ class TransparentHTTPProxy(NetworkElement):
         self.server_keywords = tuple(server_keywords)
         self.throttle_rate_bps = throttle_rate_bps
         self.scan_buffer_cap = scan_buffer_cap
+        # The most of the already-scanned server stream a keyword match can
+        # still span: every older byte is dead and is dropped.
+        self._server_tail = max((len(k) for k in self.server_keywords), default=1) - 1
         self._connections: FlowTable[tuple[str, int, str, int], _ProxiedConnection] = FlowTable(
             capacity=max_connections,
             prefer_victim=lambda conn: conn.closed,
@@ -176,9 +184,10 @@ class TransparentHTTPProxy(NetworkElement):
         if tcp.payload:
             fresh = self._reassemble(conn, tcp)
             if fresh:
-                conn.client_buffer.extend(fresh)
-                self._classify(conn)
-                self._cap_buffer(conn, "client")
+                if not conn.client_matched:
+                    conn.client_buffer.extend(fresh)
+                    self._classify(conn)
+                    self._cap_buffer(conn, "client")
                 forwarded.extend(self._normalized_packets(packet, conn, fresh))
         else:
             forwarded.append(packet)  # bare ACKs keep the far handshake moving
@@ -197,9 +206,14 @@ class TransparentHTTPProxy(NetworkElement):
     def _server_to_client(self, packet: IPPacket, tcp: TCPSegment) -> list[IPPacket]:
         key = (packet.dst, tcp.dport, packet.src, tcp.sport)
         conn = self._connections.get(key)  # touches the LRU chain
-        if conn is not None and tcp.payload:
-            conn.server_buffer.extend(tcp.payload)
+        if conn is not None and tcp.payload and not conn.server_matched:
+            buffer = conn.server_buffer
+            buffer.extend(tcp.payload)
             self._classify(conn)
+            dead = len(buffer) - self._server_tail
+            if dead > 0:
+                del buffer[:dead]
+                conn.server_scan_pos -= dead
             self._cap_buffer(conn, "server")
         return [packet]
 

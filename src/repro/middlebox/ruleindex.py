@@ -32,13 +32,7 @@ its views and automata) via :meth:`CompiledRuleSet.shared`.
 from __future__ import annotations
 
 from repro.middlebox import rulecache
-from repro.middlebox.automaton import (
-    PatternAutomaton,
-    StreamScan,
-    automaton_cache_key,
-    automaton_for,
-    mask_to_ids,
-)
+from repro.middlebox.automaton import StreamScan, automaton_cache_key, automaton_for
 from repro.middlebox.rules import MatchRule
 from repro.obs import coverage as obs_coverage
 from repro.traffic.stun import parse_stun_attributes
@@ -47,35 +41,10 @@ __all__ = [
     "Buffer",
     "CompiledRuleSet",
     "CompiledView",
-    "MultiPatternScanner",
     "StreamScan",
 ]
 
 Buffer = bytes | bytearray | memoryview
-
-
-class MultiPatternScanner:
-    """One-pass search for every occurrence of any pattern in a byte buffer.
-
-    A thin set-returning facade over the shared automaton: ``scan`` returns
-    the set of pattern indices (into the constructor's list) that occur
-    anywhere in ``buffer[start:end]`` — identical to running
-    ``pattern in buffer[start:end]`` per pattern, in one pass.
-    """
-
-    __slots__ = ("patterns", "automaton")
-
-    def __init__(self, patterns: list[bytes]) -> None:
-        self.patterns = list(patterns)
-        self.automaton = automaton_for(self.patterns)
-
-    @property
-    def max_len(self) -> int:
-        return self.automaton.max_len
-
-    def scan(self, buffer: Buffer, start: int = 0, end: int | None = None) -> set[int]:
-        """All pattern indices occurring in ``buffer[start:end]``."""
-        return mask_to_ids(self.automaton.scan_mask(buffer, start, end))
 
 
 class CompiledView:
@@ -85,7 +54,6 @@ class CompiledView:
         "rules",
         "scope",
         "automaton",
-        "scanner",
         "special",
         "keyword_rules",
         "any_order",
@@ -155,7 +123,6 @@ class CompiledView:
                         bits ^= low
             self.stateless_rules.append((order, rule, mask))
         self.automaton = automaton_for(patterns)
-        self.scanner = MultiPatternScanner(patterns)
         self.any_order = any_order
         self.any_mask = 0
         for pid in any_order:

@@ -27,6 +27,8 @@ class FlowState:
         client_packets / server_packets: payload-carrying packets counted in
             each direction (inspection-window accounting).
         client_buffer / server_buffer: the bytes fed to the matcher so far.
+            The server counter, buffer and scan only fill when some rule
+            reads the flow's server stream; otherwise they stay empty.
         expected_seq: stream-tracking position for in-order / full modes.
         ooo_segments: out-of-order segments buffered in FULL mode.
         anchor_ok: None before the anchor check, then its boolean result.

@@ -1,5 +1,7 @@
 """Tests for phases 1-2: detection and characterization."""
 
+import random
+
 import pytest
 
 from repro.core.characterization import CharacterizationError, Characterizer
@@ -115,3 +117,20 @@ class TestCharacterizerLimits:
         trace = video_stream_trace(host="video.nbcsports.com", total_bytes=120_000)
         report = Characterizer(att, trace).run(include_server_side=True)
         assert b"Content-Type: video" in [f.content for f in report.server_side_fields]
+
+
+class TestRandomPayload:
+    @staticmethod
+    def per_byte(rng, size):
+        """The original one-``randrange``-per-byte draw."""
+        return bytes(rng.randrange(256) for _ in range(size))
+
+    def test_batched_draw_matches_per_byte_loop(self, testbed, classified_trace):
+        characterizer = Characterizer(testbed, classified_trace)
+        for seed in range(100):
+            for size in (0, 1, 2, 3, 7, 100, 1460, 5000):
+                reference = random.Random(seed)
+                characterizer._rng = random.Random(seed)
+                assert characterizer._random_payload(size) == self.per_byte(reference, size)
+                # Same generator state afterwards: later draws stay identical.
+                assert characterizer._rng.getstate() == reference.getstate()

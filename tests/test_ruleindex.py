@@ -12,7 +12,8 @@ nested patterns actually occur.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.middlebox.ruleindex import CompiledRuleSet, MultiPatternScanner, StreamScan
+from repro.middlebox.automaton import automaton_for, mask_to_ids
+from repro.middlebox.ruleindex import CompiledRuleSet, StreamScan
 from repro.middlebox.rules import MatchRule, skype_stun_rule
 from repro.middlebox.policy import RulePolicy
 from repro.traffic.stun import ATTR_SOFTWARE, stun_binding_request
@@ -62,28 +63,32 @@ def naive_stateless(rules, protocol, port, direction, payload):
     return None
 
 
-class TestMultiPatternScanner:
+def scan_ids(patterns, buffer):
+    """Indices (into *patterns*) of every pattern occurring in *buffer*."""
+    return mask_to_ids(automaton_for(patterns).scan_mask(buffer))
+
+
+class TestAutomatonScan:
     @given(patterns=st.lists(keyword_st, min_size=1, max_size=8), data=chunk_st)
     def test_equals_per_pattern_search(self, patterns, data):
-        scanner = MultiPatternScanner(patterns)
-        assert scanner.scan(data) == {i for i, p in enumerate(patterns) if p in data}
+        assert scan_ids(patterns, data) == {i for i, p in enumerate(patterns) if p in data}
 
     def test_overlapping_and_nested_patterns(self):
         # "aba" overlaps itself in "ababa"; "ab" and "a" are prefixes of it.
-        scanner = MultiPatternScanner([b"aba", b"ab", b"a", b"ba", b"caba"])
-        assert scanner.scan(b"ababa") == {0, 1, 2, 3}
-        assert scanner.scan(b"xcabax") == {0, 1, 2, 3, 4}
-        assert scanner.scan(b"xxx") == set()
+        patterns = [b"aba", b"ab", b"a", b"ba", b"caba"]
+        assert scan_ids(patterns, b"ababa") == {0, 1, 2, 3}
+        assert scan_ids(patterns, b"xcabax") == {0, 1, 2, 3, 4}
+        assert scan_ids(patterns, b"xxx") == set()
 
     @given(patterns=st.lists(keyword_st, min_size=1, max_size=6), chunks=st.lists(chunk_st, min_size=1, max_size=6))
     def test_stream_feed_equals_full_rescan(self, patterns, chunks):
-        scanner = MultiPatternScanner(patterns)
+        automaton = automaton_for(patterns)
         scan = StreamScan()
         buffer = bytearray()
         for chunk in chunks:
             buffer.extend(chunk)
-            incremental = scan.feed(scanner, buffer)
-            assert incremental == scanner.scan(bytes(buffer))
+            incremental = mask_to_ids(scan.feed_mask(automaton, buffer))
+            assert incremental == scan_ids(patterns, bytes(buffer))
 
 
 class TestCompiledViewDifferential:
