@@ -22,15 +22,19 @@ and a fixed-depth recent-outcome window, never per-flow state, and above a
 fullness watermark the PR 7 :class:`~repro.middlebox.overload.LoadShedder`
 sheds new flows deterministically (they are answered ``{"shed": true}``
 and forwarded fail-open, exactly like an untracked mid-flow at a saturated
-middlebox).  Telemetry rides along: when the bus/metrics/tracer are
-enabled the proxy emits ``proxy.flow`` / ``proxy.overload`` /
-``proxy.step_down`` events like any other pipeline stage.
+middlebox).  A flow whose judgement raises is answered
+``{"flow": N, "judge_error": "<ExcType>"}`` and forwarded fail-open too —
+never reported as evaded or broken.  Telemetry rides along: when the
+bus/metrics/tracer are enabled the proxy emits ``proxy.flow`` /
+``proxy.overload`` / ``proxy.step_down`` / ``proxy.judge_error`` events
+like any other pipeline stage.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -44,6 +48,8 @@ from repro.obs import ops as obs_ops
 from repro.middlebox.overload import LoadShedder, OverloadPolicy
 from repro.packets.flow import Direction
 from repro.traffic.trace import Trace, TracePacket
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "ProxyServer",
@@ -88,6 +94,8 @@ class ProxyStats:
         flows: connections accepted (including shed ones).
         evaded / differentiated / broken: verdict tallies.
         shed: flows refused tracking by the overload policy.
+        judge_errors: flows whose judgement raised; answered fail-open
+            with a ``judge_error`` label, never counted as a verdict.
         step_downs: fallback-ladder transitions observed so far.
         overload_transitions: shed-watermark crossings (enter + exit edges).
         peak_active: high-water mark of concurrent connections.
@@ -99,6 +107,7 @@ class ProxyStats:
     differentiated: int = 0
     broken: int = 0
     shed: int = 0
+    judge_errors: int = 0
     step_downs: int = 0
     overload_transitions: int = 0
     peak_active: int = 0
@@ -114,6 +123,7 @@ class ProxyStats:
             "differentiated": self.differentiated,
             "broken": self.broken,
             "shed": self.shed,
+            "judge_errors": self.judge_errors,
             "step_downs": self.step_downs,
             "overload_transitions": self.overload_transitions,
             "peak_active": self.peak_active,
@@ -307,7 +317,13 @@ class ProxyServer:
         read_done = time.perf_counter()
         trace = payload_trace(payload, f"live-{flow_id}", self.server_port)
         before_rung = self.ladder.rung
-        outcome = self.ladder.run_flow(trace)
+        try:
+            outcome = self.ladder.run_flow(trace)
+        except Exception as exc:
+            # Serving boundary: one flow's failed judgement must not cost
+            # the connection its answer.
+            logger.exception("judge failed on live flow %d", flow_id)
+            return self._judge_failed(flow_id, type(exc).__name__)
         if ops is not None:
             # Stage splits: socket read (accept → client EOF) and the
             # synchronous ladder judgement.
@@ -367,6 +383,23 @@ class ProxyServer:
             "delivered_ok": outcome.delivered_ok,
             "rung": self.ladder.rung,
         }
+
+    def _judge_failed(self, flow_id: int, error: str) -> dict:
+        """Answer a flow whose judgement raised: fail-open, labelled.
+
+        A failed judgement is neither evaded nor broken, so it gets its own
+        tally and verdict line instead of a guessed outcome, and the
+        connection still receives an answer.
+        """
+        self.stats.judge_errors += 1
+        self.stats.recent.append("judge_error")
+        self._inc("proxy.flows.judge_error")
+        self._emit_bus("proxy.judge_error", flow=flow_id, error=error)
+        flight = obs_flight.FLIGHT
+        if flight is not None:
+            flight.note("proxy.flow", flow=flow_id, verdict="judge_error", error=error)
+            flight.trip("judge_error", episode="judge_error", flow=flow_id, error=error)
+        return {"flow": flow_id, "judge_error": error}
 
     def _note_watermark(self) -> None:
         if self.shedder is None:

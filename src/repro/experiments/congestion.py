@@ -1,19 +1,18 @@
 """Congestion: many flows interleaved on one path in virtual-time order.
 
-Figure 4 measures one flow at a time — the nested-call driver could not do
-anything else, because a send ran its whole frame (and every response) to
-completion before the next send could start.  With the event-scheduler
-core, flows are *scheduled*: each packet is an event with a virtual-time
-deadline, and the drain interleaves thousands of flows exactly as their
-arrival times dictate.  This experiment is the first workload written
-natively against that API: N staggered flows share one environment's path,
-every packet scheduled via :meth:`~repro.netsim.path.Path.schedule_from_client`,
-and the drain delivers them in global ``(deadline, seq)`` order.
+Figure 4 measures one flow at a time: a send runs its whole frame (and
+every response) to completion before the next send can start.  Scheduled
+frames lift that: each packet is an event with a virtual-time deadline, and
+the drain interleaves thousands of flows exactly as their arrival times
+dictate.  This experiment is the workload written against that API: N
+staggered flows share one environment's path, every packet scheduled via
+:meth:`~repro.netsim.path.Path.schedule_from_client`, and the drain
+delivers them in global ``(deadline, seq)`` order.
 
 The headline metric is the *interleaving ratio*: the fraction of adjacent
-server-side deliveries that belong to different flows.  The per-packet
-driver is structurally stuck at ~0 (one flow fully delivered, then the
-next); an event-core run with overlapping schedules approaches 1.  The
+server-side deliveries that belong to different flows.  Sending one flow
+after another is structurally stuck at ~0 (one flow fully delivered, then
+the next); a scheduled run with overlapping schedules approaches 1.  The
 report also carries per-flow completion spread and the scheduler's own
 counters, so regressions in drain fairness are visible.
 """
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.netsim.scheduler import EventScheduler
+from repro.netsim.clock import VirtualClock
 from repro.packets.ip import IPPacket
 from repro.packets.tcp import TCPSegment
 
@@ -107,13 +106,13 @@ class CongestionResult:
 class _FlowJournal:
     """Server endpoint recording (flow, time) per delivery, keeping no payloads."""
 
-    def __init__(self, scheduler: EventScheduler) -> None:
-        self.scheduler = scheduler
+    def __init__(self, clock: VirtualClock) -> None:
+        self.clock = clock
         self.deliveries: list[tuple[int, float]] = []
 
     def receive(self, packet: IPPacket) -> list[IPPacket]:
         sport = packet.tcp.sport if packet.tcp is not None else 0
-        self.deliveries.append((sport, self.scheduler.now))
+        self.deliveries.append((sport, self.clock.now))
         return []
 
 
@@ -140,14 +139,11 @@ def run_congestion(config: CongestionConfig | None = None) -> CongestionResult:
 
     config = config or CongestionConfig()
     env = ENVIRONMENT_FACTORIES[config.env_name]()
-    scheduler = env.path.bind_scheduler(
-        EventScheduler(env.clock, arm_timeouts=True)
-    )
-    journal = _FlowJournal(scheduler)
+    journal = _FlowJournal(env.clock)
     env.path.server_endpoint = journal
 
     result = CongestionResult(config=config)
-    start = scheduler.now
+    start = env.clock.now
     for flow in range(config.flows):
         flow_port = env.next_sport()
         result.per_flow_delivered[flow_port] = 0
@@ -159,6 +155,7 @@ def run_congestion(config: CongestionConfig | None = None) -> CongestionResult:
             )
             result.packets_scheduled += 1
     env.path.run()
+    scheduler = env.path.scheduler  # created by the first schedule_from_client
 
     previous_flow: int | None = None
     for flow_port, when in journal.deliveries:
@@ -177,7 +174,7 @@ def run_congestion(config: CongestionConfig | None = None) -> CongestionResult:
         times = [when for _flow, when in journal.deliveries]
         result.first_completion = min(times)
         result.last_completion = max(times)
-    result.virtual_duration = scheduler.now - start
+    result.virtual_duration = env.clock.now - start
     result.scheduler_fired = scheduler.fired
     result.scheduler_max_pending = scheduler.max_pending
     return result

@@ -3,9 +3,10 @@
 A :class:`~repro.netsim.path.Path` connects a client endpoint to a server
 endpoint through an ordered list of :class:`~repro.netsim.element.NetworkElement`
 instances — router hops, malformed-packet filters, DPI middleboxes and
-token-bucket shapers.  Packets are processed synchronously; time only moves
-when an element (or the replay driver) advances the shared
-:class:`~repro.netsim.clock.VirtualClock`.
+token-bucket shapers.  A send runs its packet through the chain at once; a
+scheduled send runs it when an :class:`~repro.netsim.scheduler.EventScheduler`
+drain reaches its virtual time.  Time only moves when an element, the replay
+driver or a drain advances the shared :class:`~repro.netsim.clock.VirtualClock`.
 """
 
 from repro.netsim.clock import VirtualClock
@@ -15,7 +16,7 @@ from repro.netsim.hop import RouterHop
 from repro.netsim.latency import LatencyElement
 from repro.netsim.path import Path
 from repro.netsim.reassembler import FragmentReassembler
-from repro.netsim.scheduler import EventScheduler, event_core_enabled, use_event_core
+from repro.netsim.scheduler import EventScheduler
 from repro.netsim.shaper import PolicyState, TokenBucket, TokenBucketShaper
 
 __all__ = [
@@ -23,8 +24,6 @@ __all__ = [
     "NetworkElement",
     "TransitContext",
     "EventScheduler",
-    "event_core_enabled",
-    "use_event_core",
     "FilterPolicy",
     "MalformedPacketFilter",
     "TCPChecksumNormalizer",

@@ -26,10 +26,10 @@ class TransitContext:
         inject_forward: call to send an extra packet onward toward the
             current packet's destination (e.g. a censor RST toward the
             server).
-        scheduler: the path's event scheduler, or None in direct-call mode.
-            Elements may arm timers on it (fragment-reassembly expiry);
-            they must re-check their condition when the timer fires, since
-            the per-packet scan may have beaten them to it.
+        scheduler: the path's event scheduler, or None when nothing will
+            drain one.  Elements may arm timers on it (fragment-reassembly
+            expiry); they must re-check their condition when the timer
+            fires, since the per-packet scan may have beaten them to it.
     """
 
     clock: VirtualClock

@@ -8,6 +8,7 @@ from repro.experiments.ablation import (
     ablate_gfc_port_rotation,
     ablate_prepend_threshold,
 )
+from repro.experiments.congestion import format_congestion, run_congestion
 from repro.experiments.efficiency import (
     run_att,
     run_gfc,
@@ -167,3 +168,28 @@ class TestAblations:
     def test_prepend_threshold_robust(self):
         result = ablate_prepend_threshold()
         assert result.with_choice == 1.0
+
+
+class TestCongestion:
+    """``liberate congest``: the deferred driver's one workload, pinned exactly."""
+
+    def test_default_run_is_pinned(self):
+        result = run_congestion()
+        assert result.as_dict() == {
+            "flows": 50,
+            "packets_per_flow": 4,
+            "env": "tmobile",
+            "packets_scheduled": 200,
+            "packets_delivered": 200,
+            "flows_completed": 50,
+            "interleave_ratio": 1.0,
+            "virtual_duration": 0.061,
+            "completion_spread": 0.061,
+            "scheduler_fired": 200,
+            "scheduler_max_pending": 200,
+        }
+        assert sorted(set(result.per_flow_delivered.values())) == [4]
+        assert "200/200" in format_congestion(result)
+
+    def test_reruns_are_identical(self):
+        assert run_congestion().as_dict() == run_congestion().as_dict()

@@ -23,6 +23,9 @@ from repro.core.proxy_server import (
 )
 from repro.envs import ENVIRONMENT_FACTORIES
 from repro.middlebox.overload import OverloadPolicy
+from repro.obs import flight as obs_flight
+from repro.obs import live as obs_live
+from repro.obs import metrics as obs_metrics
 from repro.traffic.http import http_get_trace
 from repro.traffic.trace import invert_bits
 
@@ -283,6 +286,49 @@ class TestStepDown:
         assert all(v["evaded"] and v["rung"] == 1 for v in recovered)
         assert all(v["technique"] == second_rung for v in recovered)
         assert not ladder.exhausted
+
+
+class TestJudgeErrors:
+    def test_raising_judge_answers_fail_open_and_keeps_serving(self, tmp_path):
+        ladder, base = make_ladder()
+        server = ProxyServer(ladder, server_port=base.server_port)
+        matching = base.client_payloads()[0]
+        judge = ladder.run_flow
+        calls = []
+
+        def raising_once(trace, server_port=None):
+            calls.append(trace.name)
+            if len(calls) == 1:
+                raise ValueError("judge blew up")
+            return judge(trace, server_port)
+
+        ladder.run_flow = raising_once
+
+        async def drive(srv):
+            failed = await request_verdict("127.0.0.1", srv.bound_port, matching)
+            judged = await request_verdict("127.0.0.1", srv.bound_port, matching)
+            return failed, judged
+
+        obs_flight.enable_flight(tmp_path, sample_every=1)
+        try:
+            with obs_live.bus_on() as bus, obs_metrics.collecting() as registry:
+                failed, judged = asyncio.run(_serve(server, drive))
+            flight = obs_flight.FLIGHT.stats()
+        finally:
+            obs_flight.disable_flight()
+
+        # A failed judgement is labelled, never reported as evaded or broken.
+        assert failed == {"flow": 0, "judge_error": "ValueError"}
+        assert judged["flow"] == 1 and judged["evaded"] is True
+        assert server._active == 0
+        assert server.stats.judge_errors == 1
+        assert (server.stats.evaded, server.stats.broken) == (1, 0)
+        assert server.snapshot()["judge_errors"] == 1
+        assert registry.snapshot()["proxy.flows.judge_error"] == 1
+        errors = [e.fields for e in bus.events if e.kind == "proxy.judge_error"]
+        assert errors == [{"flow": 0, "error": "ValueError"}]
+        assert flight["dumps"] == 1
+        assert flight["open_episodes"] == ["judge_error"]
 
 
 class TestLifecycle:

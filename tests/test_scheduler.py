@@ -1,4 +1,4 @@
-"""EventScheduler: the deterministic event core, checked against an oracle.
+"""EventScheduler: the deterministic event queue, checked against an oracle.
 
 The scheduler's contract is "fire exactly what a brute-force scan over
 pending events would, in (deadline, seq) order, never moving the clock
@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.clock import VirtualClock
-from repro.netsim.scheduler import EventScheduler, event_core_enabled, use_event_core
+from repro.netsim.scheduler import EventScheduler
 
 settings_kwargs = dict(
     deadline=None, max_examples=60, suppress_health_check=[HealthCheck.too_slow]
@@ -244,26 +244,18 @@ class TestEdgeSemantics:
         assert scheduler.max_pending == 2
 
 
-class TestEventCoreSwitch:
-    def test_context_manager_sets_and_restores(self):
-        import os
-
-        baseline = event_core_enabled()
-        with use_event_core():
-            assert event_core_enabled() is True
-            assert os.environ.get("REPRO_EVENT_CORE") == "1"
-        assert event_core_enabled() is baseline
-
-    def test_disable_inside_enable(self):
-        with use_event_core():
-            with use_event_core(enabled=False):
-                assert event_core_enabled() is False
-            assert event_core_enabled() is True
-
-    def test_paths_bind_a_scheduler_under_the_switch(self):
+class TestPathScheduler:
+    def test_scheduler_is_created_by_the_first_scheduled_frame(self):
         from repro.netsim.path import Path
+        from repro.packets.ip import IPPacket
+        from repro.packets.tcp import TCPSegment
 
-        with use_event_core():
-            path = Path(VirtualClock(), [])
-            assert path.scheduler is not None
-        assert Path(VirtualClock(), []).scheduler is None
+        path = Path(VirtualClock(), [])
+        path.send_from_client(IPPacket(src="10.0.0.1", dst="10.0.0.2", transport=TCPSegment()))
+        assert path.scheduler is None  # sending now never needs a queue
+        path.schedule_from_client(
+            IPPacket(src="10.0.0.1", dst="10.0.0.2", transport=TCPSegment()), delay=0.5
+        )
+        assert path.scheduler is not None and path.scheduler.pending == 1
+        assert path.run() == 1
+        assert path.clock.now == 0.5

@@ -1,21 +1,27 @@
-"""Event-core vs. legacy driver: byte-identical or the refactor is wrong.
+"""One netsim driver, two entry points: byte-identical or the driver is wrong.
 
-The event scheduler replaced the nested-call propagation engine; its safety
-bar is exact equivalence.  These tests run the same work twice — once on
-the legacy direct-call driver, once with the scheduler bound (and, at the
-pipeline level, once per worker-pool backend) — and require *byte-identical*
-observables: endpoint payloads, trace JSONL, metrics snapshots, telemetry
-``events.jsonl`` and the propagation counter.  Any divergence is a bug in
-the event core, not an acceptable behaviour change.
+``Path._propagate`` is the only frame executor.  A frame enters it either
+*now* (``send_from_client`` / ``send_from_server``) or *at a virtual time*
+(``schedule_from_client`` / ``schedule_from_server``, drained by the path's
+:class:`~repro.netsim.scheduler.EventScheduler`).  A frame scheduled with
+zero delay and drained at once must be indistinguishable from one sent now:
+these tests run the same work both ways and require *byte-identical*
+observables — endpoint payloads, tap bytes, trace JSONL, the propagation
+counter and the clock.  Both sides attach a scheduler and move time with
+``scheduler.advance``, so reassembly expiry timers behave identically and
+only the entry point differs.
 
 The hypothesis mixes cover the hard cases on one path: fragments held
 across sends, seeded faults (loss/duplication/reordering/corruption),
-retransmits, and reassembly flush timers driven by clock advances.
+retransmits, and reassembly flush timers driven by clock advances.  At the
+pipeline level, a Table 3 column must give the same verdicts, trace,
+metrics and telemetry on the serial, thread and process backends.
 """
 
 import io
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +33,7 @@ from repro.netsim.faults import FaultElement, chaos_profile, lossy_profile
 from repro.netsim.hop import RouterHop
 from repro.netsim.path import Path, packets_propagated
 from repro.netsim.reassembler import FragmentReassembler
-from repro.netsim.scheduler import EventScheduler, use_event_core
+from repro.netsim.scheduler import EventScheduler
 from repro.obs import live as obs_live
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -95,7 +101,27 @@ def _packet(seq: int, size: int, sport: int = 4000) -> IPPacket:
     )
 
 
-def run_mix(ops, fault: str, event_core: bool) -> dict:
+def _entry_points(path: Path, scheduled: bool):
+    """The (client, server) send functions for one entry point.
+
+    ``scheduled`` posts each frame with zero delay and drains the path's
+    scheduler up to now, which must equal sending it directly.
+    """
+    if not scheduled:
+        return path.send_from_client, path.send_from_server
+
+    def from_client(packet: IPPacket) -> None:
+        path.schedule_from_client(packet, delay=0.0)
+        path.run(until=path.clock.now)
+
+    def from_server(packet: IPPacket) -> None:
+        path.schedule_from_server(packet, delay=0.0)
+        path.run(until=path.clock.now)
+
+    return from_client, from_server
+
+
+def run_mix(ops, fault: str, scheduled: bool) -> dict:
     """Run one flow mix; return every observable as comparable bytes/values."""
     clock = VirtualClock()
     tap = PacketTap()
@@ -104,11 +130,11 @@ def run_mix(ops, fault: str, event_core: bool) -> dict:
     if profile is not None:
         elements.append(FaultElement(profile(seed=7)))
     elements += [FragmentReassembler(timeout=0.5), tap]
-    scheduler = EventScheduler(clock) if event_core else None
-    path = Path(clock, elements, scheduler=scheduler)
+    path = Path(clock, elements, scheduler=EventScheduler(clock))
     server, client = _AckingServer(), _RecordingClient()
     path.server_endpoint = server
     path.client_endpoint = client
+    send_from_client, send_from_server = _entry_points(path, scheduled)
 
     before = packets_propagated()
     with obs_trace.tracing() as tracer:
@@ -116,16 +142,16 @@ def run_mix(ops, fault: str, event_core: bool) -> dict:
         for seq, (op, arg) in enumerate(ops):
             if op == "payload":
                 last = _packet(seq, arg)
-                path.send_from_client(last)
+                send_from_client(last)
             elif op == "fragments":
                 whole = _packet(seq, arg)
                 for fragment in fragment_packet(whole, 32):
-                    path.send_from_client(fragment)
+                    send_from_client(fragment)
                 last = whole
             elif op == "retransmit" and last is not None:
-                path.send_from_client(last)
+                send_from_client(last)
             elif op == "server_push":
-                path.send_from_server(
+                send_from_server(
                     IPPacket(
                         src="10.0.0.2",
                         dst="10.0.0.1",
@@ -133,7 +159,7 @@ def run_mix(ops, fault: str, event_core: bool) -> dict:
                     )
                 )
             elif op == "advance":
-                clock.advance(arg / 10.0)
+                path.scheduler.advance(arg / 10.0)
     return {
         "server": server.received,
         "client": client.received,
@@ -148,17 +174,17 @@ class TestFlowMixes:
     @settings(**settings_kwargs)
     @given(ops=OPS)
     def test_clean_path_mixes_are_byte_identical(self, ops):
-        assert run_mix(ops, "clean", False) == run_mix(ops, "clean", True)
+        assert run_mix(ops, "clean", scheduled=False) == run_mix(ops, "clean", scheduled=True)
 
     @settings(**settings_kwargs)
     @given(ops=OPS)
     def test_lossy_path_mixes_are_byte_identical(self, ops):
-        assert run_mix(ops, "lossy", False) == run_mix(ops, "lossy", True)
+        assert run_mix(ops, "lossy", scheduled=False) == run_mix(ops, "lossy", scheduled=True)
 
     @settings(**settings_kwargs)
     @given(ops=OPS)
     def test_chaos_path_mixes_are_byte_identical(self, ops):
-        assert run_mix(ops, "chaos", False) == run_mix(ops, "chaos", True)
+        assert run_mix(ops, "chaos", scheduled=False) == run_mix(ops, "chaos", scheduled=True)
 
 
 # ----------------------------------------------------------------------
@@ -167,27 +193,20 @@ class TestFlowMixes:
 _TECH_NAMES = ("tcp-segment-split", "tcp-invalid-data-offset")
 
 
-def run_cells(event_core: bool, backend: str) -> dict:
+def run_cells(backend: str) -> dict:
     """One table3 column under full observability, as comparable strings."""
     techniques = tuple(t for t in ALL_TECHNIQUES if t.name in _TECH_NAMES)
     pool = WorkerPool(backend)
-    switch = use_event_core() if event_core else None
-    if switch is not None:
-        switch.__enter__()
-    try:
-        with obs_trace.tracing() as tracer, obs_metrics.collecting() as registry, obs_live.bus_on() as bus:
-            rows = run_table3(
-                env_names=("testbed",),
-                techniques=techniques,
-                include_os_matrix=False,
-                characterize=False,
-                pool=pool,
-            )
-            events = io.StringIO()
-            bus.export_jsonl(events)
-    finally:
-        if switch is not None:
-            switch.__exit__(None, None, None)
+    with obs_trace.tracing() as tracer, obs_metrics.collecting() as registry, obs_live.bus_on() as bus:
+        rows = run_table3(
+            env_names=("testbed",),
+            techniques=techniques,
+            include_os_matrix=False,
+            characterize=False,
+            pool=pool,
+        )
+        events = io.StringIO()
+        bus.export_jsonl(events)
     # mbx.automaton.* / mbx.rulecache.* are per-process memoized-build facts
     # (which worker compiles what depends on scheduling and cache warmth),
     # excluded from the cross-backend identity contract exactly as in
@@ -205,19 +224,24 @@ def run_cells(event_core: bool, backend: str) -> dict:
     }
 
 
+@pytest.fixture(scope="module")
+def serial_cells() -> dict:
+    return run_cells("serial")
+
+
 class TestPipelineEquivalence:
-    def test_serial_event_core_matches_legacy(self):
-        assert run_cells(False, "serial") == run_cells(True, "serial")
+    def test_serial_rerun_matches_serial(self, serial_cells):
+        assert run_cells("serial") == serial_cells
 
-    def test_thread_event_core_matches_legacy(self):
-        assert run_cells(False, "serial") == run_cells(True, "thread")
+    def test_thread_matches_serial(self, serial_cells):
+        assert run_cells("thread") == serial_cells
 
-    def test_process_event_core_matches_legacy(self):
-        assert run_cells(False, "serial") == run_cells(True, "process")
+    def test_process_matches_serial(self, serial_cells):
+        assert run_cells("process") == serial_cells
 
 
 # ----------------------------------------------------------------------
-# deferred (event-native) API sanity on top of the equivalence bar
+# deferred entry point: what only scheduling can express
 # ----------------------------------------------------------------------
 class TestDeferredDriver:
     def test_scheduled_frames_interleave_in_deadline_order(self):
@@ -258,7 +282,7 @@ class TestDeferredDriver:
         # scheduler-armed timer must expire the partial datagram on its own.
         clock = VirtualClock()
         reassembler = FragmentReassembler(timeout=0.5)
-        path = Path(clock, [reassembler], scheduler=EventScheduler(clock, arm_timeouts=True))
+        path = Path(clock, [reassembler], scheduler=EventScheduler(clock))
         server = _RecordingClient()
         path.server_endpoint = server
         first, *_rest = fragment_packet(_packet(0, 120), 32)
@@ -271,7 +295,7 @@ class TestDeferredDriver:
     def test_reassembler_native_timer_cancelled_on_completion(self):
         clock = VirtualClock()
         reassembler = FragmentReassembler(timeout=0.5)
-        path = Path(clock, [reassembler], scheduler=EventScheduler(clock, arm_timeouts=True))
+        path = Path(clock, [reassembler], scheduler=EventScheduler(clock))
         server = _RecordingClient()
         path.server_endpoint = server
         for fragment in fragment_packet(_packet(0, 120), 32):
