@@ -44,6 +44,7 @@ from repro.packets.flow import Direction, FiveTuple
 from repro.packets.fragment import reassemble_fragments
 from repro.packets.ip import IPPacket
 from repro.packets.tcp import TCPFlags, TCPSegment
+from repro.packets.udp import UDPDatagram
 
 #: Protocol prefixes an anchoring classifier accepts at stream offset zero.
 PROTOCOL_ANCHORS: tuple[bytes, ...] = (b"GET", b"POST", b"HEAD", b"PUT", b"HTTP/", b"\x16\x03")
@@ -277,9 +278,15 @@ class DPIMiddlebox(NetworkElement):
                 return [packet]
             inspect_target = whole
 
-        key = self._flow_key(inspect_target)
+        # Decode the transport once: the flow key carries the dispatch
+        # protocol and source port, and the parsed segment rides along to
+        # every step below instead of being re-read from the packet.
+        transport = inspect_target.transport
+        key = FiveTuple.of(inspect_target)
         if key is None:
             return [packet]  # non-TCP/UDP (wrong protocol field, ICMP, ...)
+        if self.protocol_agnostic_flow_keying:
+            key = self._agnostic_key(key, transport)
 
         if self.policy_state.blocked_endpoints and self._endpoint_blocked(
             inspect_target, key, now, ctx
@@ -290,12 +297,12 @@ class DPIMiddlebox(NetworkElement):
             self._stateless_inspect(inspect_target, ctx)
             return [packet]
 
-        state = self._flow_for(inspect_target, key, now)
+        tcp = transport if type(transport) is TCPSegment else None
+        state = self._flow_for(key, tcp, now)
         if state is None:
             return [packet]  # untracked mid-flow traffic is invisible to us
         state.last_packet_time = now
 
-        tcp = inspect_target.tcp
         if tcp is not None and int(tcp.flags) & 0x04:  # RST
             self._handle_rst(state, key)
             return [packet]
@@ -311,35 +318,29 @@ class DPIMiddlebox(NetworkElement):
         if state.inspection_finished:
             return [packet]
 
-        self._inspect(state, inspect_target, now, ctx)
+        self._inspect(state, inspect_target, key, tcp, now, ctx)
         if self.flow_byte_budget is not None:
             # Scan buffers may have grown; re-appraise and shed if over.
             self._flows.recost(key.normalized())
         return [packet]
 
-    def _flow_key(self, packet: IPPacket) -> FiveTuple | None:
-        """The flow a packet belongs to, honoring protocol-agnostic keying."""
-        key = FiveTuple.of(packet)
-        if key is None or not self.protocol_agnostic_flow_keying:
-            return key
-        if packet.tcp is not None:
-            if key.protocol == 6:
-                return key
-            return FiveTuple(key.src, key.sport, key.dst, key.dport, 6)
-        if packet.udp is not None:
-            if key.protocol == 17:
-                return key
-            return FiveTuple(key.src, key.sport, key.dst, key.dport, 17)
-        return key
+    def _agnostic_key(self, key: FiveTuple, transport: object) -> FiveTuple:
+        """Re-key a packet by its parsed TCP or UDP transport, whatever its
+        declared protocol field says.
 
-    def _transport_protocol(self, packet: IPPacket) -> int:
-        """The protocol used for inspection dispatch (honors agnostic keying)."""
-        if self.protocol_agnostic_flow_keying:
-            if packet.tcp is not None:
-                return 6
-            if packet.udp is not None:
-                return 17
-        return packet.effective_protocol
+        A flow key's ``protocol`` is also the inspection dispatch protocol:
+        the declared field (a crafted override wins) unless agnostic keying
+        replaces it here.
+        """
+        if type(transport) is TCPSegment:
+            protocol = 6
+        elif type(transport) is UDPDatagram:
+            protocol = 17
+        else:
+            return key
+        if key.protocol == protocol:
+            return key
+        return FiveTuple(key.src, key.sport, key.dst, key.dport, protocol)
 
     def reset(self) -> None:
         """Forget every flow, fragment buffer, block counter and log entry."""
@@ -356,20 +357,20 @@ class DPIMiddlebox(NetworkElement):
     # ==================================================================
     # flow bookkeeping
     # ==================================================================
-    def _flow_for(self, packet: IPPacket, key: FiveTuple, now: float) -> FlowState | None:
+    def _flow_for(self, key: FiveTuple, tcp: TCPSegment | None, now: float) -> FlowState | None:
         normalized = key.normalized()
         state = self._flows.get(normalized)  # touches the LRU chain
         if state is not None:
             return state
-        tcp = packet.tcp
-        is_flow_start = self._transport_protocol(packet) == 17 or (
+        udp = key.protocol == 17
+        is_flow_start = udp or (
             tcp is not None and int(tcp.flags) & 0x12 == 0x02  # SYN without ACK
         )
         if not is_flow_start:
             return None  # mid-flow packet for a flow we never tracked (or flushed)
         if self._shedder is not None and not self._admit_flow(key, normalized, now):
             return None  # shed: the flow forwards uninspected
-        protocol = "udp" if self._transport_protocol(packet) == 17 else "tcp"
+        protocol = "udp" if udp else "tcp"
         expected_seq = None
         if tcp is not None:
             expected_seq = (tcp.seq + 1) & 0xFFFFFFFF
@@ -645,22 +646,32 @@ class DPIMiddlebox(NetworkElement):
     # inspection
     # ==================================================================
     def _inspect(
-        self, state: FlowState, packet: IPPacket, now: float, ctx: TransitContext
+        self,
+        state: FlowState,
+        packet: IPPacket,
+        key: FiveTuple,
+        tcp: TCPSegment | None,
+        now: float,
+        ctx: TransitContext,
     ) -> None:
         if not self.validation.ip_inspectable(packet):
             return
-        direction = state.direction_of(packet.src, self._sport_of(packet))
-        if direction == "server" and not self._view(
-            state.protocol, state.server_port, direction
-        ).rules:
-            return  # no rule reads this server stream: neither count nor buffer it
+        direction = state.direction_of(packet.src, key.sport)
+        view: CompiledView | None = None
+        if direction == "server":
+            view = self._view(state.protocol, state.server_port, direction)
+            if not view.rules:
+                return  # no rule reads this server stream: neither count nor buffer it
         payload = b""
-        if self._transport_protocol(packet) == 6 and packet.tcp is not None:
-            payload = self._tcp_payload_for_matching(state, packet, packet.tcp, direction)
-        elif self._transport_protocol(packet) == 17 and packet.udp is not None:
-            if not self.validation.udp_inspectable(packet, packet.udp):
-                return
-            payload = packet.udp.payload
+        if key.protocol == 6:
+            if tcp is not None:
+                payload = self._tcp_payload_for_matching(state, packet, tcp, direction)
+        elif key.protocol == 17:
+            udp = packet.transport
+            if type(udp) is UDPDatagram:
+                if not self.validation.udp_inspectable(packet, udp):
+                    return
+                payload = udp.payload
         if not payload:
             return
 
@@ -699,7 +710,9 @@ class DPIMiddlebox(NetworkElement):
                 self._finalize_unclassified(state, "window-exhausted", now)
             return
 
-        matched = self._match_rules(state, buffer, payload, index, direction)
+        if view is None:
+            view = self._view(state.protocol, state.server_port, direction)
+        matched = self._match_rules(state, view, buffer, payload, index, direction)
         if matched is not None:
             state.verdict = matched
             state.match_time = now
@@ -707,7 +720,7 @@ class DPIMiddlebox(NetworkElement):
             self.match_log.append((now, matched.name, state.client_tuple))
             self.matches_logged += 1
             if obs_trace.TRACER is not None:
-                self._emit_rule_match(state, matched, buffer, index, direction, now)
+                self._emit_rule_match(state, view, matched, buffer, index, direction, now)
             if obs_metrics.METRICS is not None:
                 obs_metrics.METRICS.inc("mbx.rule_matches")
             self._apply_policy(state, matched, packet, ctx)
@@ -735,6 +748,7 @@ class DPIMiddlebox(NetworkElement):
     def _emit_rule_match(
         self,
         state: FlowState,
+        view: CompiledView,
         rule: MatchRule,
         buffer: bytes | bytearray,
         index: int,
@@ -755,7 +769,6 @@ class DPIMiddlebox(NetworkElement):
             if offset >= 0 and (match_start is None or offset < match_start):
                 match_start, match_end = offset, offset + len(keyword)
         scan = state.client_scan if direction == "client" else state.server_scan
-        view = self._view(state.protocol, state.server_port, direction)
         tracer = obs_trace.TRACER
         assert tracer is not None
         tracer.emit(
@@ -802,10 +815,6 @@ class DPIMiddlebox(NetworkElement):
             return
         if len(buffer) >= ANCHOR_MIN_BYTES:
             state.anchor_ok = buffer.startswith(PROTOCOL_ANCHORS)
-
-    def _sport_of(self, packet: IPPacket) -> int:
-        transport = packet.transport
-        return getattr(transport, "sport", 0)
 
     def _tcp_payload_for_matching(
         self, state: FlowState, packet: IPPacket, segment: TCPSegment, direction: str
@@ -856,7 +865,8 @@ class DPIMiddlebox(NetworkElement):
 
     def _view(self, protocol: str, server_port: int, direction: str) -> CompiledView:
         """The precompiled rule view for this flow context (rebuilds if the
-        rule list was replaced since compilation)."""
+        rule list was replaced or grown since compilation).  Inspection
+        fetches it at most once per packet and passes it along."""
         if self.rules is not self._compiled_source or len(self._compiled.rules) != len(
             self.rules
         ):
@@ -872,12 +882,12 @@ class DPIMiddlebox(NetworkElement):
     def _match_rules(
         self,
         state: FlowState,
+        view: CompiledView,
         buffer: bytes | bytearray,
         packet_payload: bytes,
         index: int,
         direction: str,
     ) -> MatchRule | None:
-        view = self._view(state.protocol, state.server_port, direction)
         scan: StreamScan | None = None
         if self.reassembly is not ReassemblyMode.PER_PACKET:
             scan = state.client_scan if direction == "client" else state.server_scan
@@ -953,12 +963,13 @@ class DPIMiddlebox(NetworkElement):
         if obs_metrics.METRICS is not None:
             obs_metrics.METRICS.inc("mbx.scan_bytes", len(payload))
             obs_metrics.METRICS.observe("mbx.scan.payload_bytes", len(payload))
+        view = self._view(protocol, server_port, direction)
         ops = obs_ops.OPS
         if ops is None:
-            rule = self._view(protocol, server_port, direction).match_stateless(payload)
+            rule = view.match_stateless(payload)
         else:
             started = time.perf_counter()
-            rule = self._view(protocol, server_port, direction).match_stateless(payload)
+            rule = view.match_stateless(payload)
             ops.record("mbx.scan", time.perf_counter() - started)
         if rule is not None:
             self.match_log.append((ctx.clock.now, rule.name, key))
@@ -969,7 +980,6 @@ class DPIMiddlebox(NetworkElement):
                     offset = payload.find(keyword)
                     if offset >= 0 and (match_start is None or offset < match_start):
                         match_start, match_end = offset, offset + len(keyword)
-                view = self._view(protocol, server_port, direction)
                 obs_trace.TRACER.emit(
                     "mbx.rule_match",
                     ctx.clock.now,

@@ -43,15 +43,24 @@ class MiddleboxValidation:
     # ------------------------------------------------------------------
     def ip_inspectable(self, packet: IPPacket) -> bool:
         """Can/will the classifier look inside this IP packet at all?"""
-        if not packet.has_valid_version() or not packet.has_valid_ihl():
-            return False  # cannot even locate the payload
-        if packet.total_length_too_short():
-            return False  # payload truncated per the declared length
-        if self.require_length_not_long and packet.total_length_too_long():
-            return False
-        if self.require_valid_ip_checksum and not packet.has_valid_checksum():
-            return False
-        if packet.padded_options:
+        # Pristine fast path: version 4 with auto-computed IHL, length and
+        # checksum passes those checks by their own definitions, so only a
+        # crafted override needs the predicate walk.
+        if (
+            packet.version != 4
+            or packet.ihl is not None
+            or packet.total_length is not None
+            or packet.checksum is not None
+        ):
+            if not packet.has_valid_version() or not packet.has_valid_ihl():
+                return False  # cannot even locate the payload
+            if packet.total_length_too_short():
+                return False  # payload truncated per the declared length
+            if self.require_length_not_long and packet.total_length_too_long():
+                return False
+            if self.require_valid_ip_checksum and not packet.has_valid_checksum():
+                return False
+        if packet.options:
             if self.require_wellformed_ip_options and not packet.has_wellformed_options():
                 return False
             if self.reject_deprecated_ip_options and packet.has_deprecated_options():

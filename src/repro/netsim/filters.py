@@ -89,15 +89,25 @@ class MalformedPacketFilter(NetworkElement):
         self, packet: IPPacket, direction: Direction, ctx: TransitContext
     ) -> list[IPPacket]:
         """Apply the policy; forward, or record and drop."""
-        if self._should_drop(packet):
+        # Direct transport access: the tcp/udp properties cost a descriptor
+        # call each, and this runs for every packet on strict-carrier paths.
+        transport = packet.transport
+        tcp = transport if type(transport) is TCPSegment else None
+        # Sequence state is only consulted by the out-of-window check, so
+        # only that policy needs the flow key (computed once per packet).
+        key = None
+        if tcp is not None and self.policy.drop_out_of_window_seq:
+            key = FiveTuple.of(packet)
+        if self._should_drop(packet, tcp, key):
             self.dropped.append(packet)
             return []
-        if self.policy.drop_out_of_window_seq:
-            # Sequence state is only consulted by the out-of-window check.
-            self._track(packet)
+        if key is not None:
+            self._track(key, tcp)
         return [packet]
 
-    def _should_drop(self, packet: IPPacket) -> bool:
+    def _should_drop(
+        self, packet: IPPacket, tcp: TCPSegment | None, key: FiveTuple | None
+    ) -> bool:
         policy = self.policy
         if (
             policy.drop_bad_ip_header
@@ -129,41 +139,37 @@ class MalformedPacketFilter(NetworkElement):
             return True
         if policy.drop_ip_fragments and packet.is_fragment:
             return True
-        # Direct transport access: the tcp/udp properties cost a descriptor
-        # call each, and this runs for every packet on strict-carrier paths.
-        transport = packet.transport
         declared = packet.protocol
-        tcp = transport if type(transport) is TCPSegment else None
-        if tcp is not None and (declared is None or declared == 6):
+        if tcp is not None:
+            if declared is not None and declared != 6:
+                return False
             if policy.drop_bad_tcp_checksum and not tcp.verify_checksum(packet.src, packet.dst):
                 return True
             if policy.drop_bad_data_offset and not tcp.has_valid_data_offset():
                 return True
             if policy.drop_invalid_flag_combo and not tcp.flags.is_valid_combination():
                 return True
-            if policy.drop_missing_ack_flag and self._missing_ack(packet, tcp):
+            if policy.drop_missing_ack_flag and self._missing_ack(tcp):
                 return True
-            if policy.drop_out_of_window_seq and self._out_of_window(packet, tcp):
+            if key is not None and self._out_of_window(key, tcp):
                 return True
-        udp = transport if type(transport) is UDPDatagram else None
-        if udp is not None and (declared is None or declared == 17):
+            return False  # a TCP segment is never a UDP datagram
+        udp = packet.transport
+        if type(udp) is UDPDatagram and (declared is None or declared == 17):
             if policy.drop_bad_udp_checksum and not udp.verify_checksum(packet.src, packet.dst):
                 return True
             if policy.drop_bad_udp_length and not udp.has_valid_length():
                 return True
         return False
 
-    def _missing_ack(self, packet: IPPacket, tcp: TCPSegment) -> bool:
+    def _missing_ack(self, tcp: TCPSegment) -> bool:
         # The initial SYN legitimately has no ACK; RST-only is also normal.
         flags = int(tcp.flags)
         if flags & 0x06:  # SYN or RST
             return False
         return not flags & 0x10  # ACK
 
-    def _out_of_window(self, packet: IPPacket, tcp: TCPSegment) -> bool:
-        key = FiveTuple.of(packet)
-        if key is None:
-            return False
+    def _out_of_window(self, key: FiveTuple, tcp: TCPSegment) -> bool:
         expected = self._next_seq.get(key)
         if expected is None:
             return False
@@ -171,11 +177,7 @@ class MalformedPacketFilter(NetworkElement):
         reverse_distance = (expected - tcp.seq) & 0xFFFFFFFF
         return min(distance, reverse_distance) > SEQ_WINDOW
 
-    def _track(self, packet: IPPacket) -> None:
-        tcp = packet.tcp
-        key = FiveTuple.of(packet)
-        if tcp is None or key is None:
-            return
+    def _track(self, key: FiveTuple, tcp: TCPSegment) -> None:
         advance = len(tcp.payload)
         if int(tcp.flags) & 0x03:  # SYN or FIN each consume one sequence number
             advance += 1

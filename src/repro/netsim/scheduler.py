@@ -91,12 +91,6 @@ class EventScheduler:
         """Number of events scheduled and not yet fired or cancelled."""
         return len(self._live)
 
-    def next_deadline(self) -> float | None:
-        """Deadline of the earliest pending event (None when idle)."""
-        while self._heap and self._heap[0][2] not in self._live:
-            heapq.heappop(self._heap)  # tombstoned (cancelled)
-        return self._heap[0][0] if self._heap else None
-
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
@@ -118,16 +112,6 @@ class EventScheduler:
         if len(self._live) > self.max_pending:
             self.max_pending = len(self._live)
         return event_id
-
-    def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> int:
-        """Register ``fn(*args)`` to run *delay* seconds from now (>= 0)."""
-        if delay < 0:
-            raise ValueError("delay cannot be negative")
-        return self.at(self.clock.now + delay, fn, *args)
-
-    def post(self, fn: Callable[..., Any], *args: Any) -> int:
-        """Zero-delay scheduling: run in the current (or next) drain."""
-        return self.at(self.clock.now, fn, *args)
 
     def cancel(self, event_id: int) -> bool:
         """Forget a pending event; True when it had not fired yet."""
@@ -162,14 +146,6 @@ class EventScheduler:
         self.fired += 1
         fn(*args)
 
-    def step(self) -> bool:
-        """Fire exactly one event (the earliest); False when idle."""
-        entry = self._pop_due(None)
-        if entry is None:
-            return False
-        self._fire(*entry)
-        return True
-
     def run(self, until: float | None = None, limit: int | None = None) -> int:
         """Drain events in ``(deadline, seq)`` order; returns events fired.
 
@@ -198,10 +174,6 @@ class EventScheduler:
         finally:
             self._draining = False
         return fired
-
-    def run_until_idle(self, limit: int | None = None) -> int:
-        """Drain everything, advancing the clock as far as events require."""
-        return self.run(until=None, limit=limit)
 
     def advance(self, seconds: float) -> int:
         """Move the clock forward by *seconds* and drain everything now due.

@@ -42,7 +42,6 @@ class TokenBucket:
         Returns the delay (seconds) that was charged.
         """
         rate_bytes = self.rate_bps / 8.0
-        # Inlined _refill: this runs once per packet per shaper.
         now = clock.now
         elapsed = now - self._last
         tokens = self._tokens + elapsed * rate_bytes if elapsed > 0.0 else self._tokens
@@ -52,9 +51,17 @@ class TokenBucket:
         if tokens >= size_bytes:
             self._tokens = tokens - size_bytes
             return 0.0
-        self._tokens = tokens
-        deficit = size_bytes - tokens
-        delay = deficit / rate_bytes
+        return self._charge(tokens, size_bytes, clock, rate_bytes)
+
+    def _charge(
+        self, tokens: float, size_bytes: int, clock: VirtualClock, rate_bytes: float
+    ) -> float:
+        """Wait out a deficit: advance the clock until *size_bytes* fit.
+
+        *tokens* is the bucket already refilled to ``clock.now`` (and
+        ``_last`` stamped there); returns the delay charged.
+        """
+        delay = (size_bytes - tokens) / rate_bytes
         clock.advance(delay)
         now = clock.now
         elapsed = now - self._last
@@ -63,11 +70,6 @@ class TokenBucket:
         self._last = now
         self._tokens = max(tokens - size_bytes, 0.0)
         return delay
-
-    def _refill(self, now: float, rate_bytes: float) -> None:
-        elapsed = max(now - self._last, 0.0)
-        self._tokens = min(self.burst_bytes, self._tokens + elapsed * rate_bytes)
-        self._last = now
 
     def reset(self) -> None:
         """Restore a full bucket."""
@@ -154,18 +156,18 @@ class TokenBucketShaper(NetworkElement):
         bucket = self.base_bucket
         clock = ctx.clock
         now = clock.now
+        rate_bytes = bucket.rate_bps / 8.0
         elapsed = now - bucket._last
         tokens = bucket._tokens
         if elapsed > 0.0:
-            tokens += elapsed * (bucket.rate_bps / 8.0)
+            tokens += elapsed * rate_bytes
             if tokens > bucket.burst_bytes:
                 tokens = bucket.burst_bytes
         bucket._last = now
         if tokens >= size:
             bucket._tokens = tokens - size
         else:
-            bucket._tokens = tokens
-            bucket.consume(size, clock)  # recomputes elapsed=0, charges delay
+            bucket._charge(tokens, size, clock, rate_bytes)  # saturated link
         return [packet]
 
     def reset(self) -> None:

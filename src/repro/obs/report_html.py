@@ -8,10 +8,9 @@ benchmark-history trend), and cell drill-downs use native
 identically from ``file://`` on an air-gapped machine, which is the whole
 point: an experiment artifact you can attach to CI or mail around.
 
-Both the dashboard and the ``liberate obs report`` text summary are views
-over one **report model** (:func:`build_model`): a plain JSON-ready dict
-combining whichever observability artifacts a run produced — the trace
-summary (:meth:`repro.obs.analyze.TraceIndex.summary`), the metrics
+The dashboard is a view over one **report model** (:func:`build_model`):
+a plain JSON-ready dict combining whichever observability artifacts a run
+produced — the trace summary (:meth:`repro.obs.analyze.TraceIndex.summary`), the metrics
 snapshot, the profiler snapshot, the telemetry-event tally and the
 benchmark history with its watchdog flags.  The model is embedded verbatim
 in the page (``<script type="application/json">``) so downstream tooling
@@ -144,71 +143,6 @@ def load_model(path: str) -> dict:
     if end < 0:
         raise ValueError(f"{path}: embedded dashboard model is truncated")
     return json.loads(page[start:end])
-
-
-# ----------------------------------------------------------------------
-# text rendering (the `liberate obs report` view of the same model)
-# ----------------------------------------------------------------------
-def render_text(model: dict) -> str:
-    """The model as a terminal summary (shared with ``obs report``)."""
-    lines: list[str] = []
-    trace = model.get("trace")
-    if trace:
-        lines.append(
-            f"trace: {trace.get('events', 0)} events over "
-            f"{trace.get('flows', 0)} flow(s)"
-        )
-        for section in ("kinds", "rules", "drops", "verdicts", "arq"):
-            payload = trace.get(section)
-            if not payload:
-                continue
-            lines.append(f"{section}:")
-            for key, value in payload.items():
-                if isinstance(value, dict):
-                    value = value.get("matches", value)
-                lines.append(f"  {key:42s} {value}")
-        cells = trace.get("cells") or []
-        if cells:
-            lines.append(f"cells: {len(cells)} experiment result(s) recorded")
-    events = model.get("events")
-    if events:
-        lines.append("telemetry events:")
-        for kind, count in events.items():
-            lines.append(f"  {kind:42s} {count}")
-    metrics = model.get("metrics")
-    if metrics:
-        lines.append(f"metrics: {len(metrics)} series")
-    profile = model.get("profile")
-    if profile:
-        stages = {k: v for k, v in profile.items() if isinstance(v, dict)}
-        lines.append(f"profile: {len(stages)} stage(s)")
-        peak = profile.get("peak_rss_kb")
-        if peak:
-            lines.append(f"peak RSS: {peak} KiB")
-    flags = model.get("flags")
-    if flags:
-        lines.append(f"watchdog: {len(flags)} regression flag(s)")
-    coverage = model.get("coverage")
-    if coverage:
-        scopes = coverage.get("scopes") or {}
-        dead = sum(len(scope.get("dead") or []) for scope in scopes.values())
-        lines.append(
-            f"coverage: {len(scopes)} rule scope(s), {dead} dead rule(s), "
-            f"{coverage.get('total_rule_hits', 0)} rule hit(s)"
-        )
-    ops = model.get("ops")
-    if ops:
-        latency = ops.get("latency") or {}
-        lines.append(
-            f"ops: {len(latency)} latency recorder(s), "
-            f"uptime {ops.get('uptime_seconds', 0)}s"
-        )
-        for name, summary in latency.items():
-            lines.append(
-                f"  {name:42s} n={summary.get('count', 0)} "
-                f"p50={summary.get('p50_ms', 0)}ms p99={summary.get('p99_ms', 0)}ms"
-            )
-    return "\n".join(lines) if lines else "(empty report model)"
 
 
 # ----------------------------------------------------------------------

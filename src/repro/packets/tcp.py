@@ -131,7 +131,9 @@ class TCPSegment:
 
     def has_valid_data_offset(self) -> bool:
         """True when the declared data offset matches the actual header."""
-        return self.effective_data_offset * 4 == self.header_length
+        if self.data_offset is None:
+            return True  # computed offset is header_length // 4, always consistent
+        return self.data_offset * 4 == self.header_length
 
     def _wire_zero(self) -> bytes:
         """Serialized segment with a zero checksum field (memoized)."""

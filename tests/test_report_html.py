@@ -146,12 +146,6 @@ class TestRendering:
         assert "<script>alert" not in visible
         assert page.count("</script>") == 1  # only the model block's own close
 
-    def test_render_text_shares_the_model(self):
-        text = report_html.render_text(_sample_model())
-        assert "trace: 12 events over 2 flow(s)" in text
-        assert "metrics:" in text
-        assert "watchdog: 1 regression flag(s)" in text
-
 
 class TestSvgHelpers:
     def test_spark_bars(self):

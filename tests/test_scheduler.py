@@ -87,7 +87,7 @@ class TestAgainstBruteForce:
     def test_run_until_idle_drains_survivors_in_order(self, ops):
         scheduler, pending, fired = run_differential(ops)
         fired.clear()
-        scheduler.run_until_idle()
+        scheduler.run()
         expected = [
             p for p, _d in sorted(pending.items(), key=lambda kv: (kv[1], kv[0]))
         ]
@@ -105,7 +105,7 @@ class TestAgainstBruteForce:
                 scheduler.at(clock.now + arg / 10.0, lambda: observed.append(clock.now))
             elif op == "advance":
                 scheduler.advance(arg / 10.0)
-        scheduler.run_until_idle()
+        scheduler.run()
         assert observed == sorted(observed)
 
 
@@ -116,7 +116,7 @@ class TestZeroDelay:
         clock = VirtualClock(start=5.0)
         scheduler = EventScheduler(clock)
         fired = []
-        scheduler.post(fired.append, "now")
+        scheduler.at(clock.now, fired.append, "now")
         assert scheduler.advance(0) == 1
         assert fired == ["now"]
         assert clock.now == 5.0
@@ -128,18 +128,18 @@ class TestZeroDelay:
 
         def outer():
             fired.append("outer")
-            scheduler.post(lambda: fired.append("inner"))
+            scheduler.at(clock.now, lambda: fired.append("inner"))
 
-        scheduler.post(outer)
+        scheduler.at(clock.now, outer)
         assert scheduler.run(until=scheduler.now) == 2
         assert fired == ["outer", "inner"]
 
-    def test_call_later_zero_equals_post(self):
+    def test_zero_delay_events_fire_fifo(self):
         clock = VirtualClock()
         scheduler = EventScheduler(clock)
         fired = []
-        scheduler.call_later(0.0, fired.append, "a")
-        scheduler.post(fired.append, "b")
+        scheduler.at(clock.now, fired.append, "a")
+        scheduler.at(clock.now, fired.append, "b")
         scheduler.advance(0)
         assert fired == ["a", "b"]  # FIFO at the same deadline
 
@@ -155,13 +155,8 @@ class TestEdgeSemantics:
         scheduler = EventScheduler(clock)
         stamps = []
         scheduler.at(3.0, lambda: stamps.append(clock.now))
-        scheduler.run_until_idle()
+        scheduler.run()
         assert stamps == [10.0]
-
-    def test_negative_delay_rejected(self):
-        scheduler = EventScheduler(VirtualClock())
-        with pytest.raises(ValueError):
-            scheduler.call_later(-0.1, lambda: None)
 
     def test_negative_advance_rejected(self):
         scheduler = EventScheduler(VirtualClock())
@@ -173,7 +168,7 @@ class TestEdgeSemantics:
         fired = []
         for name in ("first", "second", "third"):
             scheduler.at(1.0, fired.append, name)
-        scheduler.run_until_idle()
+        scheduler.run()
         assert fired == ["first", "second", "third"]
 
     def test_cancel_and_rearm(self):
@@ -183,35 +178,39 @@ class TestEdgeSemantics:
         stale = scheduler.at(1.0, fired.append, "stale")
         assert scheduler.cancel(stale) is True
         rearmed = scheduler.at(2.0, fired.append, "rearmed")
-        scheduler.run_until_idle()
+        scheduler.run()
         assert fired == ["rearmed"]
         assert clock.now == 2.0
         assert scheduler.cancel(rearmed) is False  # already fired
 
     def test_next_deadline_skips_tombstones(self):
-        scheduler = EventScheduler(VirtualClock())
-        first = scheduler.at(1.0, lambda: None)
-        scheduler.at(2.0, lambda: None)
+        clock = VirtualClock()
+        scheduler = EventScheduler(clock)
+        fired = []
+        first = scheduler.at(1.0, fired.append, "first")
+        scheduler.at(2.0, fired.append, "second")
         scheduler.cancel(first)
-        assert scheduler.next_deadline() == 2.0
+        assert scheduler.run(limit=1) == 1
+        assert fired == ["second"]
+        assert clock.now == 2.0
 
     def test_step_fires_one_event(self):
         scheduler = EventScheduler(VirtualClock())
         fired = []
         scheduler.at(1.0, fired.append, "a")
         scheduler.at(2.0, fired.append, "b")
-        assert scheduler.step() is True
+        assert scheduler.run(limit=1) == 1
         assert fired == ["a"]
-        assert scheduler.step() is True
-        assert scheduler.step() is False
+        assert scheduler.run(limit=1) == 1
+        assert scheduler.run(limit=1) == 0
 
     def test_run_limit_bounds_self_posting_loops(self):
         scheduler = EventScheduler(VirtualClock())
 
         def reproduce():
-            scheduler.post(reproduce)
+            scheduler.at(scheduler.now, reproduce)
 
-        scheduler.post(reproduce)
+        scheduler.at(scheduler.now, reproduce)
         assert scheduler.run(limit=25) == 25
         assert scheduler.pending == 1  # the next generation survives
 
@@ -222,7 +221,7 @@ class TestEdgeSemantics:
         def handler():
             inner_counts.append(scheduler.run())
 
-        scheduler.post(handler)
+        scheduler.at(scheduler.now, handler)
         assert scheduler.run() == 1
         assert inner_counts == [0]
 
@@ -239,7 +238,7 @@ class TestEdgeSemantics:
         a = scheduler.at(1.0, lambda: None)
         scheduler.at(2.0, lambda: None)
         scheduler.cancel(a)
-        scheduler.run_until_idle()
+        scheduler.run()
         assert (scheduler.scheduled, scheduler.fired, scheduler.cancelled) == (2, 1, 1)
         assert scheduler.max_pending == 2
 

@@ -1,6 +1,8 @@
 """Unit tests for the token-bucket shaper, policy state, and reassembler."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.clock import VirtualClock
 from repro.netsim.element import TransitContext
@@ -130,6 +132,109 @@ class TestShaper:
         shaper.process(data_packet(), Direction.SERVER_TO_CLIENT, context)
         shaper.reset()
         assert shaper._flow_buckets == {}
+
+
+class _ReferenceBucket:
+    """The token-bucket arithmetic before the saturated-link refactor, kept
+    verbatim as an oracle: ``consume`` refilled inline and charged the
+    deficit itself, and the shaper's base-link path refilled, stored the
+    tokens, then called ``consume`` again (a second refill with zero
+    elapsed time) to charge the deficit."""
+
+    def __init__(self, rate_bps, burst_bytes):
+        self.rate_bps = rate_bps
+        self.burst_bytes = burst_bytes
+        self._tokens = burst_bytes
+        self._last = 0.0
+
+    def consume(self, size_bytes, clock):
+        rate_bytes = self.rate_bps / 8.0
+        now = clock.now
+        elapsed = now - self._last
+        tokens = self._tokens + elapsed * rate_bytes if elapsed > 0.0 else self._tokens
+        if tokens > self.burst_bytes:
+            tokens = self.burst_bytes
+        self._last = now
+        if tokens >= size_bytes:
+            self._tokens = tokens - size_bytes
+            return 0.0
+        self._tokens = tokens
+        deficit = size_bytes - tokens
+        delay = deficit / rate_bytes
+        clock.advance(delay)
+        now = clock.now
+        elapsed = now - self._last
+        if elapsed > 0.0:
+            tokens = min(self.burst_bytes, tokens + elapsed * rate_bytes)
+        self._last = now
+        self._tokens = max(tokens - size_bytes, 0.0)
+        return delay
+
+    def shape(self, size, clock):
+        now = clock.now
+        elapsed = now - self._last
+        tokens = self._tokens
+        if elapsed > 0.0:
+            tokens += elapsed * (self.rate_bps / 8.0)
+            if tokens > self.burst_bytes:
+                tokens = self.burst_bytes
+        self._last = now
+        if tokens >= size:
+            self._tokens = tokens - size
+        else:
+            self._tokens = tokens
+            self.consume(size, clock)
+
+
+#: (wire size in bytes, virtual seconds before the packet); zero gaps keep
+#: the link saturated.
+SHAPED_PACKETS = st.lists(
+    st.tuples(
+        st.integers(min_value=20, max_value=20_000),
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.05)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+RATES = st.floats(min_value=10_000.0, max_value=100_000_000.0)
+BURSTS = st.floats(min_value=1.0, max_value=100_000.0)
+
+
+class TestBucketArithmeticUnchanged:
+    """Charging the deficit in one place leaves every float bit-identical."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(packets=SHAPED_PACKETS, rate=RATES, burst=BURSTS)
+    def test_base_link_path(self, packets, rate, burst):
+        shaper = TokenBucketShaper(PolicyState())
+        shaper.base_bucket = TokenBucket(rate_bps=rate, burst_bytes=burst)
+        reference = _ReferenceBucket(rate, burst)
+        clock, reference_clock = VirtualClock(), VirtualClock()
+        context = ctx(clock)
+        for size, gap in packets:
+            clock.advance(gap)
+            reference_clock.advance(gap)
+            packet = IPPacket(src="10.0.0.2", dst="10.0.0.1", transport=b"x" * (size - 20))
+            assert shaper.process(packet, Direction.SERVER_TO_CLIENT, context) == [packet]
+            reference.shape(size, reference_clock)
+            bucket = shaper.base_bucket
+            assert clock.now == reference_clock.now
+            assert bucket._tokens == reference._tokens
+            assert bucket._last == reference._last
+
+    @settings(deadline=None, max_examples=150)
+    @given(packets=SHAPED_PACKETS, rate=RATES, burst=BURSTS)
+    def test_consume(self, packets, rate, burst):
+        bucket = TokenBucket(rate_bps=rate, burst_bytes=burst)
+        reference = _ReferenceBucket(rate, burst)
+        clock, reference_clock = VirtualClock(), VirtualClock()
+        for size, gap in packets:
+            clock.advance(gap)
+            reference_clock.advance(gap)
+            assert bucket.consume(size, clock) == reference.consume(size, reference_clock)
+            assert clock.now == reference_clock.now
+            assert bucket._tokens == reference._tokens
+            assert bucket._last == reference._last
 
 
 class TestFragmentReassembler:
